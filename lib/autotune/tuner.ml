@@ -232,6 +232,11 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
         (List.length choices) (Array.length pool) (total_space choices));
   let evaluator = Evaluator.create ~reps arch in
   let eval (c : candidate) = Evaluator.objective evaluator c.ir c.points in
+  (* one feature schema per tune, shared by the SURF encoder and the
+     named importances *)
+  let schema =
+    lazy (Surf.Feature.make_schema (Array.to_list (Array.map (fun c -> c.features) pool)))
+  in
   let search_result =
     Obs.Trace.with_span ~cat:"autotune" "tune.search" @@ fun _ ->
     match strategy with
@@ -240,10 +245,7 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
       Surf.Search.random_search rng ~pool ~eval
         ~max_evals:Surf.Search.default_config.max_evals
     | Surf_search cfg ->
-      let schema =
-        Surf.Feature.make_schema (Array.to_list (Array.map (fun c -> c.features) pool))
-      in
-      let encode c = Surf.Feature.encode schema c.features in
+      let encode c = Surf.Feature.encode (Lazy.force schema) c.features in
       let eval_batch =
         Option.map
           (fun map cs ->
@@ -300,11 +302,7 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
   let importances =
     match search_result.explain with
     | None -> []
-    | Some ex ->
-      let schema =
-        Surf.Feature.make_schema (Array.to_list (Array.map (fun c -> c.features) pool))
-      in
-      Surf.Explain.named_importances schema ex.importance
+    | Some ex -> Surf.Explain.named_importances (Lazy.force schema) ex.importance
   in
   (* Flight recorder: one journal entry per tune, with the full five-stage
      lineage of every evaluated variant. Guarded by the sink flag, and pure

@@ -62,12 +62,12 @@ let classify_ref (arch : Arch.t) (k : Codegen.Kernel.t) (occ : Occupancy.t)
   in
   let fp = float_of_int a.footprint_per_block *. float_of_int accesses in
   (* factor loads are read-only: Fermi L1, Kepler's texture/read-only path
-     and Maxwell's unified L1 all cache them; only the caching *capacity*
-     path differs (flag kept for the emitted-code annotations) *)
-  let read_cached = arch.l1_caches_global || true in
+     and Maxwell's unified L1 all cache them, so every arch prices an
+     L1-sized footprint as resident (Arch.l1_caches_global survives only
+     in the arch fingerprint, hence in cache keys) *)
   let per_block, l2_per_block, memory_class =
     if is_output then (raw_per_block, 0.0, Dram_raw)
-    else if read_cached && a.footprint_per_block <= arch.l1_bytes then
+    else if a.footprint_per_block <= arch.l1_bytes then
       (max fp (raw_per_block *. 0.002), 0.0, L1_resident)
     else begin
       (* L2 catches within-block reuse in proportion to how much of the

@@ -38,18 +38,9 @@ type artifact = {
 (* ---------------- span aggregation ---------------- *)
 
 let aggregate_spans events =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      let key = (e.cat, e.name) in
-      let count, total =
-        match Hashtbl.find_opt tbl key with Some ct -> ct | None -> (0, 0.0)
-      in
-      Hashtbl.replace tbl key (count + 1, total +. (e.t1 -. e.t0)))
-    events;
-  Hashtbl.fold
-    (fun (cat, span) (count, total_s) acc -> { cat; span; count; total_s } :: acc)
-    tbl []
+  Trace.accounts events
+  |> List.map (fun (a : Trace.account) ->
+         { cat = a.acct_cat; span = a.acct_name; count = a.acct_count; total_s = a.acct_total_s })
   |> List.sort (fun a b -> compare (a.cat, a.span) (b.cat, b.span))
 
 (* ---------------- JSON ---------------- *)

@@ -35,7 +35,8 @@ type artifact = {
   experiments : experiment list;
 }
 
-(** Group completed spans by (category, name): count and summed duration. *)
+(** Group completed spans by (category, name): count and summed duration,
+    read off {!Trace.accounts}, sorted by (category, name). *)
 val aggregate_spans : Trace.event list -> span_agg list
 
 val make : ?suite:string -> experiment list -> artifact

@@ -4,8 +4,8 @@
      load): one "B"/"E" duration-event pair per span. Events are emitted
      depth-first per domain, so begin/end pairs are balanced and correctly
      nested in file order even for zero-duration spans.
-   - Prometheus-style text exposition of counters and timers (summaries
-     with count/sum and median/p90/p99 quantiles). *)
+   - Prometheus text exposition of counters and sketch-backed timers
+     (native histograms with cumulative log-bucket series). *)
 
 (* ---------------- JSON helpers ---------------- *)
 
@@ -176,33 +176,9 @@ let counter_lines b prefix counters =
       Buffer.add_string b (Printf.sprintf "%s %d\n" m v))
     counters
 
-let prometheus ?(prefix = "barracuda") ~counters ~timers () =
-  let b = Buffer.create 1024 in
-  counter_lines b prefix counters;
-  List.iter
-    (fun (name, samples) ->
-      let m = metric_name prefix (name ^ "_seconds") in
-      header b ~metric:m ~help:(Printf.sprintf "Latency of %s in seconds." name)
-        ~kind:"summary";
-      let quantile q p =
-        Buffer.add_string b
-          (Printf.sprintf "%s{quantile=\"%s\"} %.9g\n" m q
-             (Util.Stats.percentile p samples))
-      in
-      if samples <> [] then begin
-        quantile "0.5" 50.0;
-        quantile "0.9" 90.0;
-        quantile "0.99" 99.0
-      end;
-      Buffer.add_string b
-        (Printf.sprintf "%s_sum %.9g\n" m (List.fold_left ( +. ) 0.0 samples));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" m (List.length samples)))
-    timers;
-  Buffer.contents b
-
 (* Native histograms from sketches: the log-bucket upper bounds become the
    cumulative le="..." series. O(buckets) regardless of traffic. *)
-let prometheus_sketches ?(prefix = "barracuda") ~counters ~sketches () =
+let prometheus ?(prefix = "barracuda") ~counters ~sketches () =
   let b = Buffer.create 1024 in
   counter_lines b prefix counters;
   List.iter

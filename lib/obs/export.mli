@@ -1,5 +1,5 @@
 (** Exporters: Chrome trace-event JSON (loadable in chrome://tracing and
-    Perfetto) and Prometheus-style text metrics. *)
+    Perfetto) and Prometheus text metrics from {!Sketch}-backed timers. *)
 
 (** Escape a string for inclusion inside a JSON string literal. *)
 val json_escape : string -> string
@@ -25,29 +25,20 @@ val metric_name : string -> string -> string
     newline become [\\] and [\n]. *)
 val help_escape : string -> string
 
-(** Prometheus text exposition: counters as [<prefix>_<name>_total],
-    timers as summaries ([_sum], [_count], quantiles 0.5/0.9/0.99 computed
-    with {!Util.Stats.percentile}). Every metric carries [# HELP] and
-    [# TYPE] lines; names are sanitized with {!metric_name}. *)
-val prometheus :
-  ?prefix:string ->
-  counters:(string * int) list ->
-  timers:(string * float list) list ->
-  unit ->
-  string
-
-(** Native-histogram exposition sourced from quantile sketches: each timer
+(** Prometheus text exposition, the one renderer for every metric group.
+    Counters become [<prefix>_<name>_total]. Each sketch-backed timer
     [<prefix>_<name>_seconds] is a [# TYPE ... histogram] with cumulative
     [_bucket{le="..."}] lines over the sketch's log-bucket upper bounds
-    (plus the mandatory [le="+Inf"]), [_sum] and [_count]; counters are
-    rendered as in {!prometheus}. Bucket counts come straight from
+    (plus the mandatory [le="+Inf"]), [_sum] and [_count]. Every metric
+    carries [# HELP] and [# TYPE] lines; names are sanitized with
+    {!metric_name}. Bucket counts come straight from
     {!Sketch.buckets}, so exposition cost and size are O(buckets), not
     O(observations). Each timer also exposes two sketch-health gauges:
     [<prefix>_<name>_sketch_buckets] (live occupied-bucket count) and
     [<prefix>_<name>_sketch_collapsed] (1 once the [max_buckets] cap has
     collapsed low buckets, i.e. low quantiles may exceed the error
     bound). *)
-val prometheus_sketches :
+val prometheus :
   ?prefix:string ->
   counters:(string * int) list ->
   sketches:(string * Sketch.t) list ->

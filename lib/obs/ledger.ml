@@ -1,10 +1,7 @@
-(* Causal cost ledger. Two halves share this module because they share the
-   phase vocabulary: a streaming per-request accountant over modeled phase
-   costs (constant memory: one sketch + Welford moments per (class, phase)
-   cell), and a span-tree folder that turns recorded Trace events into
-   self/child accounts and a cross-domain critical path. Everything is
-   pure arithmetic over the inputs - no clock reads, no RNG - so replayed
-   traffic yields bit-identical reports. *)
+(* Causal cost ledger: a streaming per-request accountant over modeled
+   phase costs (constant memory: one sketch per (class, phase) cell).
+   Everything is pure arithmetic over the inputs - no clock reads, no
+   RNG - so replayed traffic yields bit-identical reports. *)
 
 let spf = Printf.sprintf
 
@@ -53,260 +50,10 @@ let all_classes = [ Cold; Warm; Dedup ]
 let class_name = function Cold -> "cold" | Warm -> "warm" | Dedup -> "dedup"
 let class_of_name n = List.find_opt (fun c -> class_name c = n) all_classes
 
-let class_rank = function Cold -> 0 | Warm -> 1 | Dedup -> 2
-
-(* ------------------------------------------------------------------ *)
-(* Span accounting *)
-
-type account = {
-  acct_cat : string;
-  acct_name : string;
-  acct_count : int;
-  acct_total_s : float;
-  acct_self_s : float;
-  acct_child_s : float;
-}
-
-let dur (e : Trace.event) = e.t1 -. e.t0
-
-let accounts (events : Trace.event list) =
-  (* child-duration sum per parent id; parent links are same-domain by
-     construction, so self = dur - direct children telescopes per tree *)
-  let child_sum = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.parent with
-      | None -> ()
-      | Some p ->
-        Hashtbl.replace child_sum p
-          (dur e +. Option.value ~default:0.0 (Hashtbl.find_opt child_sum p)))
-    events;
-  let tbl = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      let key = (e.cat, e.name) in
-      let d = dur e in
-      let c = Option.value ~default:0.0 (Hashtbl.find_opt child_sum e.id) in
-      let c = Float.min c d in
-      match Hashtbl.find_opt tbl key with
-      | Some a ->
-        Hashtbl.replace tbl key
-          {
-            a with
-            acct_count = a.acct_count + 1;
-            acct_total_s = a.acct_total_s +. d;
-            acct_self_s = a.acct_self_s +. (d -. c);
-            acct_child_s = a.acct_child_s +. c;
-          }
-      | None ->
-        order := key :: !order;
-        Hashtbl.replace tbl key
-          {
-            acct_cat = e.cat;
-            acct_name = e.name;
-            acct_count = 1;
-            acct_total_s = d;
-            acct_self_s = d -. c;
-            acct_child_s = c;
-          })
-    events;
-  List.rev_map (fun key -> Hashtbl.find tbl key) !order
-  |> List.sort (fun a b ->
-         match compare (b.acct_self_s : float) a.acct_self_s with
-         | 0 -> compare (a.acct_cat, a.acct_name) (b.acct_cat, b.acct_name)
-         | c -> c)
-
-type path_step = {
-  step_name : string;
-  step_cat : string;
-  step_domain : int;
-  step_self_s : float;
-  step_queue_s : float;
-}
-
-type critical_path = {
-  path : path_step list;
-  path_total_s : float;
-  path_work_s : float;
-  path_queue_s : float;
-}
-
-let critical_path (events : Trace.event list) =
-  match events with
-  | [] -> None
-  | _ ->
-    let roots =
-      List.filter (fun (e : Trace.event) -> e.parent = None) events
-    in
-    let root =
-      List.fold_left
-        (fun acc (e : Trace.event) ->
-          match acc with
-          | None -> Some e
-          | Some (b : Trace.event) ->
-            if dur e > dur b || (dur e = dur b && e.id < b.id) then Some e
-            else acc)
-        None roots
-    in
-    (match root with
-    | None -> None
-    | Some root ->
-      let children : (int, Trace.event list) Hashtbl.t = Hashtbl.create 64 in
-      let attach parent_id (e : Trace.event) =
-        Hashtbl.replace children parent_id
-          (e :: Option.value ~default:[] (Hashtbl.find_opt children parent_id))
-      in
-      List.iter
-        (fun (e : Trace.event) ->
-          match e.parent with Some p -> attach p e | None -> ())
-        events;
-      (* Worker-domain spans are parentless on their own domain (the Trace
-         parent stack is per-domain): adopt each under the smallest
-         enclosing span on another domain, which is where the scheduler
-         dispatched the work from. *)
-      List.iter
-        (fun (e : Trace.event) ->
-          if e.parent = None && e.id <> root.id then begin
-            let host =
-              List.fold_left
-                (fun acc (s : Trace.event) ->
-                  if
-                    s.id <> e.id && s.domain <> e.domain && s.t0 <= e.t0
-                    && e.t1 <= s.t1
-                  then
-                    match acc with
-                    | None -> Some s
-                    | Some (b : Trace.event) ->
-                      if dur s < dur b || (dur s = dur b && s.id < b.id) then
-                        Some s
-                      else acc
-                  else acc)
-                None events
-            in
-            match host with Some h -> attach h.id e | None -> ()
-          end)
-        events;
-      (* Depth-first: coalesce a span's children into overlap groups; a
-         singleton group is sequential work, a wider one is a parallel
-         fan-out whose critical member is the one finishing last. *)
-      let rec walk (e : Trace.event) ~queue =
-        let kids =
-          Option.value ~default:[] (Hashtbl.find_opt children e.id)
-          |> List.sort (fun (a : Trace.event) b ->
-                 compare (a.t0, a.id) (b.t0, b.id))
-        in
-        let groups =
-          List.fold_left
-            (fun groups (k : Trace.event) ->
-              match groups with
-              | (members, g1) :: rest when k.t0 < g1 ->
-                ((k :: members, Float.max g1 k.t1) :: rest)
-              | _ -> ([ k ], k.t1) :: groups)
-            [] kids
-          |> List.rev_map (fun (members, _) -> List.rev members)
-        in
-        let extent members =
-          let g0 =
-            List.fold_left (fun acc (k : Trace.event) -> Float.min acc k.t0)
-              infinity members
-          and g1 =
-            List.fold_left (fun acc (k : Trace.event) -> Float.max acc k.t1)
-              neg_infinity members
-          in
-          let g0 = Float.max g0 e.t0 and g1 = Float.min g1 e.t1 in
-          Float.max 0.0 (g1 -. g0)
-        in
-        let covered = List.fold_left (fun acc g -> acc +. extent g) 0.0 groups in
-        let step =
-          {
-            step_name = e.name;
-            step_cat = e.cat;
-            step_domain = e.domain;
-            step_self_s = Float.max 0.0 (dur e -. covered);
-            step_queue_s = queue;
-          }
-        in
-        step
-        :: List.concat_map
-             (fun members ->
-               let g0 =
-                 List.fold_left
-                   (fun acc (k : Trace.event) -> Float.min acc k.t0)
-                   infinity members
-               in
-               let chosen =
-                 List.fold_left
-                   (fun acc (k : Trace.event) ->
-                     match acc with
-                     | None -> Some k
-                     | Some (b : Trace.event) ->
-                       if k.t1 > b.t1 || (k.t1 = b.t1 && k.id < b.id) then
-                         Some k
-                       else acc)
-                   None members
-               in
-               match chosen with
-               | None -> []
-               | Some k -> walk k ~queue:(Float.max 0.0 (k.t0 -. g0)))
-             groups
-      in
-      let path = walk root ~queue:0.0 in
-      Some
-        {
-          path;
-          path_total_s = dur root;
-          path_work_s =
-            List.fold_left (fun acc s -> acc +. s.step_self_s) 0.0 path;
-          path_queue_s =
-            List.fold_left (fun acc s -> acc +. s.step_queue_s) 0.0 path;
-        })
-
 let ms v = spf "%.3f" (v *. 1e3)
-
-let render_accounts accts =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (spf "  %-24s %-10s %6s %10s %10s %10s\n" "span" "cat" "count" "total ms"
-       "self ms" "child ms");
-  List.iter
-    (fun a ->
-      Buffer.add_string b
-        (spf "  %-24s %-10s %6d %10s %10s %10s\n" a.acct_name a.acct_cat
-           a.acct_count (ms a.acct_total_s) (ms a.acct_self_s)
-           (ms a.acct_child_s)))
-    accts;
-  Buffer.contents b
-
-let render_path cp =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (spf
-       "critical path: %s ms total = %s ms work + %s ms queue (%d steps)\n"
-       (ms cp.path_total_s) (ms cp.path_work_s) (ms cp.path_queue_s)
-       (List.length cp.path));
-  List.iter
-    (fun s ->
-      Buffer.add_string b
-        (spf "  %-24s %-10s domain %d  self %s ms  queue %s ms\n" s.step_name
-           s.step_cat s.step_domain (ms s.step_self_s) (ms s.step_queue_s)))
-    cp.path;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Streaming ledger *)
-
-(* One sketch plus Welford moments; max tracked exactly (the sketch's
-   max_value is already exact, but keeping it here avoids the nan dance on
-   empty cells). *)
-type cell = {
-  sk : Sketch.t;
-  mutable c_n : int;
-  mutable c_mean : float;
-  mutable c_m2 : float;
-  mutable c_total : float;
-  mutable c_max : float;
-}
 
 type exemplar = {
   ex_slot : int;
@@ -319,59 +66,39 @@ type exemplar = {
   ex_run_id : string option;
 }
 
-type slot = { mutable s_epoch : int; mutable s_ex : exemplar option }
-
+(* Every cell - a (class, phase) pair, a class's end-to-end latency, the
+   overall latency - is one sketch; exemplar slots hold the worst request
+   of their epoch. *)
 type t = {
   alpha : float;
-  slot_width : int;
-  ring : slot array;
-  cells : (serve_class * phase, cell) Hashtbl.t;
-  e2e : (serve_class, cell) Hashtbl.t;
-  overall : cell;
+  ring : exemplar option ref Window.Ring.t;
+  cells : (serve_class * phase, Sketch.t) Hashtbl.t;
+  e2e : (serve_class, Sketch.t) Hashtbl.t;
+  overall : Sketch.t;
   mutable requests : int;
   mutable errors : int;
   mutable worst : exemplar option;
 }
-
-let new_cell alpha =
-  {
-    sk = Sketch.create ~alpha ();
-    c_n = 0;
-    c_mean = 0.0;
-    c_m2 = 0.0;
-    c_total = 0.0;
-    c_max = neg_infinity;
-  }
 
 let create ?(alpha = 0.01) ?(slot_width = 250) ?(slots = 16) () =
   if slot_width < 1 then invalid_arg "Ledger.create: slot_width must be >= 1";
   if slots < 1 then invalid_arg "Ledger.create: slots must be >= 1";
   {
     alpha;
-    slot_width;
-    ring = Array.init slots (fun _ -> { s_epoch = -1; s_ex = None });
+    ring = Window.Ring.create ~width:slot_width ~slots (fun () -> ref None);
     cells = Hashtbl.create 32;
     e2e = Hashtbl.create 4;
-    overall = new_cell alpha;
+    overall = Sketch.create ~alpha ();
     requests = 0;
     errors = 0;
     worst = None;
   }
 
-let cell_add c v =
-  c.c_n <- c.c_n + 1;
-  let delta = v -. c.c_mean in
-  c.c_mean <- c.c_mean +. (delta /. float_of_int c.c_n);
-  c.c_m2 <- c.c_m2 +. (delta *. (v -. c.c_mean));
-  c.c_total <- c.c_total +. v;
-  if v > c.c_max then c.c_max <- v;
-  Sketch.add c.sk v
-
 let get tbl alpha key =
   match Hashtbl.find_opt tbl key with
   | Some c -> c
   | None ->
-    let c = new_cell alpha in
+    let c = Sketch.create ~alpha () in
     Hashtbl.add tbl key c;
     c
 
@@ -388,9 +115,9 @@ let observe ?label ?key ?run_id t ~tick ~cls ~ok ~latency_s costs =
   if tick < 0 then invalid_arg "Ledger.observe: negative tick";
   t.requests <- t.requests + 1;
   if not ok then t.errors <- t.errors + 1;
-  cell_add t.overall latency_s;
-  cell_add (get t.e2e t.alpha cls) latency_s;
-  List.iter (fun (p, v) -> cell_add (get t.cells t.alpha (cls, p)) v) costs;
+  Sketch.add t.overall latency_s;
+  Sketch.add (get t.e2e t.alpha cls) latency_s;
+  List.iter (fun (p, v) -> Sketch.add (get t.cells t.alpha (cls, p)) v) costs;
   let ex slot =
     {
       ex_slot = slot;
@@ -404,15 +131,10 @@ let observe ?label ?key ?run_id t ~tick ~cls ~ok ~latency_s costs =
       ex_run_id = run_id;
     }
   in
-  let epoch = tick / t.slot_width in
-  let s = t.ring.(epoch mod Array.length t.ring) in
-  if s.s_epoch <> epoch then begin
-    s.s_epoch <- epoch;
-    s.s_ex <- None
-  end;
-  (match s.s_ex with
+  let slot = Window.Ring.slot t.ring ~now:tick in
+  (match !slot with
   | Some e when e.ex_latency_s >= latency_s -> ()
-  | _ -> s.s_ex <- Some (ex epoch));
+  | _ -> slot := Some (ex (tick / Window.Ring.width t.ring)));
   match t.worst with
   | Some e when e.ex_latency_s >= latency_s -> ()
   | _ -> t.worst <- Some (ex (-1))
@@ -427,11 +149,11 @@ let reconcile t =
           List.fold_left
             (fun acc p ->
               match Hashtbl.find_opt t.cells (cls, p) with
-              | Some c -> acc +. c.c_total
+              | Some c -> acc +. Sketch.total c
               | None -> acc)
             0.0 all_phases
         in
-        Some (cls, e.c_n, phases, e.c_total))
+        Some (cls, Sketch.count e, phases, Sketch.total e))
     all_classes
 
 (* ---------------- report ---------------- *)
@@ -449,15 +171,14 @@ type stat = {
 
 let stat_of_cell c =
   {
-    st_n = c.c_n;
-    st_total_s = c.c_total;
-    st_mean_s = (if c.c_n = 0 then nan else c.c_mean);
-    st_std_s =
-      (if c.c_n = 0 then nan else sqrt (c.c_m2 /. float_of_int c.c_n));
-    st_p50_s = Sketch.quantile c.sk 50.0;
-    st_p90_s = Sketch.quantile c.sk 90.0;
-    st_p99_s = Sketch.quantile c.sk 99.0;
-    st_max_s = (if c.c_n = 0 then nan else c.c_max);
+    st_n = Sketch.count c;
+    st_total_s = Sketch.total c;
+    st_mean_s = Sketch.mean c;
+    st_std_s = Sketch.stddev c;
+    st_p50_s = Sketch.quantile c 50.0;
+    st_p90_s = Sketch.quantile c 90.0;
+    st_p99_s = Sketch.quantile c 99.0;
+    st_max_s = Sketch.max_value c;
   }
 
 type report = {
@@ -511,15 +232,11 @@ let report t =
            | 0 -> compare (phase_rank p) (phase_rank q)
            | c -> c)
   in
-  let exemplars =
-    Array.to_list t.ring
-    |> List.filter_map (fun s -> s.s_ex)
-    |> List.sort (fun a b -> compare a.ex_slot b.ex_slot)
-  in
+  let exemplars = List.filter_map (fun (_, ex) -> !ex) (Window.Ring.entries t.ring) in
   {
     lr_requests = t.requests;
     lr_errors = t.errors;
-    lr_slot_width = t.slot_width;
+    lr_slot_width = Window.Ring.width t.ring;
     lr_overall = stat_of_cell t.overall;
     lr_classes = classes;
     lr_cells = cells;
@@ -769,7 +486,7 @@ let prometheus ?(prefix = "barracuda") t =
     List.filter_map
       (fun cls ->
         Option.map
-          (fun c -> (spf "serve_%s" (class_name cls), c.sk))
+          (fun c -> (spf "serve_%s" (class_name cls), c))
           (Hashtbl.find_opt t.e2e cls))
       all_classes
   in
@@ -780,16 +497,12 @@ let prometheus ?(prefix = "barracuda") t =
           (fun p ->
             Option.map
               (fun c ->
-                (spf "phase_%s_%s" (class_name cls) (phase_name p), c.sk))
+                (spf "phase_%s_%s" (class_name cls) (phase_name p), c))
               (Hashtbl.find_opt t.cells (cls, p)))
           all_phases)
       all_classes
   in
-  Export.prometheus_sketches ~prefix
+  Export.prometheus ~prefix
     ~counters:
       [ ("ledger_requests", t.requests); ("ledger_errors", t.errors) ]
     ~sketches:(e2e @ cells) ()
-
-(* referenced by interface consumers that sort classes; keep the
-   deterministic rank exported through compare on the variant order *)
-let _ = class_rank

@@ -7,7 +7,13 @@
    bucket index; the occupied-bucket count is hard-capped by collapsing the
    two lowest buckets together (the DDSketch policy: tail quantiles - the
    ones monitoring cares about - keep their bound, quantiles near zero may
-   degrade once [collapsed] reports true). *)
+   degrade once [collapsed] reports true).
+
+   Beside the buckets the sketch keeps exact streaming moments: count,
+   total, min, max and the Welford second moment [m2] (sum of squared
+   deviations from the mean). Mean is total/count; merges combine [m2] by
+   Chan's pairwise formula, so merged and single-stream moments agree to
+   rounding. *)
 
 type t = {
   alpha : float;
@@ -19,6 +25,7 @@ type t = {
   mutable zero : int;  (* count of values <= floor *)
   mutable count : int;
   mutable total : float;
+  mutable m2 : float;  (* Welford: sum of squared deviations from the mean *)
   mutable vmin : float;
   mutable vmax : float;
   mutable collapsed : bool;
@@ -39,6 +46,7 @@ let create ?(alpha = 0.01) ?(max_buckets = 2048) () =
     zero = 0;
     count = 0;
     total = 0.0;
+    m2 = 0.0;
     vmin = infinity;
     vmax = neg_infinity;
     collapsed = false;
@@ -55,6 +63,11 @@ let copy t =
 let count t = t.count
 let total t = t.total
 let mean t = if t.count = 0 then nan else t.total /. float_of_int t.count
+
+(* rounding can leave a zero-variance stream's m2 a hair below 0 *)
+let stddev t =
+  if t.count = 0 then nan else sqrt (Float.max 0.0 (t.m2 /. float_of_int t.count))
+
 let min_value t = if t.count = 0 then nan else t.vmin
 let max_value t = if t.count = 0 then nan else t.vmax
 let collapsed t = t.collapsed
@@ -86,8 +99,12 @@ let collapse_if_needed t =
   done
 
 let add t v =
+  (* Welford update with the mean read off the running total: the product
+     of the deviations from the old and the new mean *)
+  let before = if t.count = 0 then 0.0 else t.total /. float_of_int t.count in
   t.count <- t.count + 1;
   t.total <- t.total +. v;
+  t.m2 <- t.m2 +. ((v -. before) *. (v -. (t.total /. float_of_int t.count)));
   if v < t.vmin then t.vmin <- v;
   if v > t.vmax then t.vmax <- v;
   if v <= t.floor then t.zero <- t.zero + 1
@@ -109,6 +126,13 @@ let merge a b =
       | Some r' -> r' := !r' + !r
       | None -> Hashtbl.add m.counts i (ref !r))
     b.counts;
+  (* Chan et al.: m2 = m2_a + m2_b + delta^2 * n_a * n_b / n *)
+  if a.count > 0 && b.count > 0 then begin
+    let na = float_of_int a.count and nb = float_of_int b.count in
+    let delta = (b.total /. nb) -. (a.total /. na) in
+    m.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb))
+  end
+  else m.m2 <- a.m2 +. b.m2;
   m.zero <- m.zero + b.zero;
   m.count <- m.count + b.count;
   m.total <- m.total +. b.total;

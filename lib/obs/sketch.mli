@@ -8,13 +8,19 @@
     O(log(max/min)/alpha) regardless of how many values are added - with a
     hard [max_buckets] cap enforced by collapsing the lowest buckets.
 
+    The sketch is the one streaming summary of a sample stream: beside the
+    quantiles it keeps exact count, total, min, max and the Welford second
+    moment, so {!mean} and {!stddev} come from it too. Every timer of
+    {!Service.Metrics} and every cell of {!Ledger} is one sketch.
+
     Error bound: for a sketch holding samples [x_0 <= ... <= x_(n-1)]
     (all above {!floor}, no collapse), [quantile t p] with rank
     [r = p/100*(n-1)] returns [q] with
     [(1-alpha) * x_(floor r) <= q <= (1+alpha) * x_(ceil r)].
 
     Sketches merge exactly: bucket counts are integers, so merging is
-    associative and commutative up to the floating-point [total], and
+    associative and commutative up to the floating-point [total] and
+    second moment (combined by Chan's pairwise formula), and
     quantiles of a merged sketch are bit-identical regardless of merge
     order. No wall-clock reads, no RNG draws. Not domain-safe; callers
     serialize access (see {!Service.Metrics}). *)
@@ -45,6 +51,10 @@ val total : t -> float
 
 (** [nan] on an empty sketch, like {!Util.Stats.mean}. *)
 val mean : t -> float
+
+(** Population standard deviation (like {!Util.Stats.stddev}) from the
+    streaming second moment; [nan] on an empty sketch. *)
+val stddev : t -> float
 
 val min_value : t -> float
 val max_value : t -> float

@@ -148,3 +148,56 @@ let collect f =
   let r = Fun.protect ~finally:finish f in
   let evs = events () in
   (r, evs)
+
+(* ---------------- span accounting ---------------- *)
+
+type account = {
+  acct_cat : string;
+  acct_name : string;
+  acct_count : int;
+  acct_total_s : float;
+  acct_self_s : float;
+  acct_child_s : float;
+}
+
+(* The one fold of events by (cat, name). Parent links are same-domain by
+   construction, so self = duration - direct children telescopes per
+   tree. Totals sum in event order. *)
+let accounts (events : event list) =
+  let dur e = e.t1 -. e.t0 in
+  let child_sum = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      match e.parent with
+      | None -> ()
+      | Some p ->
+        Hashtbl.replace child_sum p
+          (dur e +. Option.value ~default:0.0 (Hashtbl.find_opt child_sum p)))
+    events;
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun e ->
+      let key = (e.cat, e.name) in
+      let d = dur e in
+      let c = Float.min d (Option.value ~default:0.0 (Hashtbl.find_opt child_sum e.id)) in
+      let a =
+        match Hashtbl.find_opt tbl key with
+        | Some a -> a
+        | None ->
+          { acct_cat = e.cat; acct_name = e.name; acct_count = 0; acct_total_s = 0.0;
+            acct_self_s = 0.0; acct_child_s = 0.0 }
+      in
+      Hashtbl.replace tbl key
+        {
+          a with
+          acct_count = a.acct_count + 1;
+          acct_total_s = a.acct_total_s +. d;
+          acct_self_s = a.acct_self_s +. (d -. c);
+          acct_child_s = a.acct_child_s +. c;
+        })
+    events;
+  Hashtbl.fold (fun _ a acc -> a :: acc) tbl []
+  |> List.sort (fun a b ->
+         match compare (b.acct_self_s : float) a.acct_self_s with
+         | 0 -> compare (a.acct_cat, a.acct_name) (b.acct_cat, b.acct_name)
+         | c -> c)

@@ -87,3 +87,19 @@ val instant : ?cat:string -> ?attrs:(string * string) list -> string -> unit
     value together with the merged events. Restores the previous
     enabled/disabled state (but not previously recorded events). *)
 val collect : (unit -> 'a) -> 'a * event list
+
+(** Aggregated self/child time of one (category, name) span kind.
+    [self_s] is duration minus same-domain children; summed over a span
+    tree it telescopes to the root duration. *)
+type account = {
+  acct_cat : string;
+  acct_name : string;
+  acct_count : int;
+  acct_total_s : float;  (** durations summed in event order *)
+  acct_self_s : float;
+  acct_child_s : float;
+}
+
+(** Fold events into per-(cat, name) accounts, sorted by self time
+    descending (ties by cat then name). *)
+val accounts : event list -> account list

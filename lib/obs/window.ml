@@ -1,49 +1,54 @@
-(* Ring of sketch buckets over a deterministic logical clock. Slot state
-   is reset lazily when a newer epoch first touches it; queries filter by
-   epoch range, so a stale slot (clock jumped past it) is simply ignored
-   until overwritten. *)
+(* Ring of sketch buckets over a deterministic logical clock, built on
+   the shared lazily evicting epoch ring (Ring, also behind the Ledger's
+   exemplar slots). *)
 
-type slot = {
-  mutable s_epoch : int;  (* -1 = never used *)
-  mutable s_ok : int;
-  mutable s_err : int;
-  mutable s_sketch : Sketch.t;
-}
+module Ring = struct
+  (* Slot [e mod slots] holds epoch [e]'s value; a newer epoch touching
+     the slot replaces it with a fresh one. Stale slots (the clock jumped
+     past them) stay until overwritten; readers filter by epoch. *)
+  type 'a t = { width : int; epochs : int array; values : 'a array; fresh : unit -> 'a }
 
-type t = {
-  alpha : float;
-  w_width : int;
-  ring : slot array;
-}
+  let create ~width ~slots fresh =
+    if width < 1 || slots < 1 then invalid_arg "Window.Ring.create: width and slots must be >= 1";
+    { width; epochs = Array.make slots (-1); values = Array.init slots (fun _ -> fresh ()); fresh }
+
+  let width t = t.width
+  let slots t = Array.length t.epochs
+
+  let slot t ~now =
+    let epoch = now / t.width in
+    let i = epoch mod Array.length t.epochs in
+    if t.epochs.(i) <> epoch then begin
+      t.epochs.(i) <- epoch;
+      t.values.(i) <- t.fresh ()
+    end;
+    t.values.(i)
+
+  let entries t =
+    Array.to_list (Array.mapi (fun i e -> (e, t.values.(i))) t.epochs)
+    |> List.filter (fun (e, _) -> e >= 0)
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+end
+
+type slot = { mutable s_ok : int; mutable s_err : int; s_sketch : Sketch.t }
+
+type t = { alpha : float; ring : slot Ring.t }
 
 let create ?(alpha = 0.01) ~width ~buckets () =
   if width < 1 then invalid_arg "Window.create: width must be >= 1";
   if buckets < 1 then invalid_arg "Window.create: buckets must be >= 1";
   {
     alpha;
-    w_width = width;
     ring =
-      Array.init buckets (fun _ ->
-          { s_epoch = -1; s_ok = 0; s_err = 0; s_sketch = Sketch.create ~alpha () });
+      Ring.create ~width ~slots:buckets (fun () ->
+          { s_ok = 0; s_err = 0; s_sketch = Sketch.create ~alpha () });
   }
 
-let width t = t.w_width
-let bucket_slots t = Array.length t.ring
-
-let slot_for t epoch =
-  let s = t.ring.(epoch mod Array.length t.ring) in
-  if s.s_epoch <> epoch then begin
-    (* lazy eviction: this slot last held an older epoch *)
-    s.s_epoch <- epoch;
-    s.s_ok <- 0;
-    s.s_err <- 0;
-    s.s_sketch <- Sketch.create ~alpha:t.alpha ()
-  end;
-  s
+let width t = Ring.width t.ring
 
 let observe t ~now ~ok latency =
   if now < 0 then invalid_arg "Window.observe: negative tick";
-  let s = slot_for t (now / t.w_width) in
+  let s = Ring.slot t.ring ~now in
   if ok then s.s_ok <- s.s_ok + 1 else s.s_err <- s.s_err + 1;
   Sketch.add s.s_sketch latency
 
@@ -58,18 +63,17 @@ type snapshot = {
   sketch : Sketch.t;
 }
 
-(* Live slots for the epoch range (e_hi - k + 1 .. e_hi], ascending epoch
+(* Live slots for the epoch range (e_hi - last, e_hi], ascending epoch
    order so sketch merges are deterministic. *)
 let live t ~now ~last =
-  let e_hi = now / t.w_width in
+  let e_hi = now / width t in
   let e_lo = max 0 (e_hi - last + 1) in
-  Array.to_list t.ring
-  |> List.filter (fun s -> s.s_epoch >= e_lo && s.s_epoch <= e_hi)
-  |> List.sort (fun a b -> compare a.s_epoch b.s_epoch)
+  List.filter (fun (e, _) -> e >= e_lo && e <= e_hi) (Ring.entries t.ring)
 
 let snapshot ?last t ~now =
-  let last = match last with Some k -> min k (Array.length t.ring) | None -> Array.length t.ring in
-  let slots = live t ~now ~last in
+  let n = Ring.slots t.ring in
+  let last = match last with Some k -> min k n | None -> n in
+  let slots = List.map snd (live t ~now ~last) in
   let requests = List.fold_left (fun acc s -> acc + s.s_ok + s.s_err) 0 slots in
   let errors = List.fold_left (fun acc s -> acc + s.s_err) 0 slots in
   let sketch =
@@ -78,7 +82,7 @@ let snapshot ?last t ~now =
       (Sketch.create ~alpha:t.alpha ())
       slots
   in
-  let ticks = min (last * t.w_width) (now + 1) in
+  let ticks = min (last * width t) (now + 1) in
   {
     snap_now = now;
     epochs = last;
@@ -101,10 +105,10 @@ type slot_view = {
 }
 
 let slots t ~now =
-  live t ~now ~last:(Array.length t.ring)
-  |> List.map (fun s ->
+  live t ~now ~last:(Ring.slots t.ring)
+  |> List.map (fun (epoch, s) ->
          {
-           epoch = s.s_epoch;
+           epoch;
            slot_requests = s.s_ok + s.s_err;
            slot_errors = s.s_err;
            slot_p50 = Sketch.quantile s.s_sketch 50.0;
@@ -131,14 +135,14 @@ let render t ~now =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "window @ tick %d: %d epochs live (width %d ticks)\n" now
-       (List.length views) t.w_width);
+       (List.length views) (width t));
   Buffer.add_string b
     (Printf.sprintf "  %-12s %8s %6s %10s %10s\n" "ticks" "reqs" "errs" "p50 ms" "p99 ms");
   List.iter
     (fun v ->
       Buffer.add_string b
         (Printf.sprintf "  %-12s %8d %6d %10s %10s\n"
-           (Printf.sprintf "%d-%d" (v.epoch * t.w_width) (((v.epoch + 1) * t.w_width) - 1))
+           (Printf.sprintf "%d-%d" (v.epoch * width t) (((v.epoch + 1) * width t) - 1))
            v.slot_requests v.slot_errors (ms v.slot_p50) (ms v.slot_p99)))
     views;
   if views <> [] then

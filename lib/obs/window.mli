@@ -13,6 +13,29 @@
     epoch) order, so snapshots are deterministic too. Not domain-safe;
     callers serialize access. *)
 
+(** The lazily evicting epoch ring shared by the window's slots and the
+    {!Ledger}'s exemplar slots. Tick [now] belongs to epoch [now/width],
+    kept in slot [epoch mod slots]; the first touch by a newer epoch
+    replaces the slot's value with a fresh one. *)
+module Ring : sig
+  type 'a t
+
+  (** [create ~width ~slots fresh]; raises [Invalid_argument] unless both
+      are >= 1. *)
+  val create : width:int -> slots:int -> (unit -> 'a) -> 'a t
+
+  val width : 'a t -> int
+  val slots : 'a t -> int
+
+  (** The value of [now]'s epoch, fresh if the slot held an older one.
+      [now] must be non-negative. *)
+  val slot : 'a t -> now:int -> 'a
+
+  (** Every slot ever used, as [(epoch, value)] in ascending epoch order;
+      stale epochs stay until overwritten. *)
+  val entries : 'a t -> (int * 'a) list
+end
+
 type t
 
 (** [create ~width ~buckets ()] - [width] ticks per epoch, [buckets]
@@ -21,7 +44,6 @@ type t
 val create : ?alpha:float -> width:int -> buckets:int -> unit -> t
 
 val width : t -> int
-val bucket_slots : t -> int
 
 (** Record one request at logical tick [now]: whether it succeeded and its
     latency in seconds (failed requests feed the latency sketch too). *)

@@ -306,21 +306,22 @@ let tune t (req : request) =
 
 let tune_dsl ?(label = "tc") t src = tune t { label; src }
 
-(* Prometheus text exposition of the service metrics plus cache gauges. *)
+(* Prometheus text exposition: the service counters and timer sketches,
+   then the cache and trace counter groups, all through one renderer. *)
 let prometheus_report t =
   let s = cache_stats t in
-  Metrics.prometheus t.metrics
-  ^ Obs.Export.prometheus ~prefix:"barracuda_cache"
-      ~counters:
-        [
-          ("hits", s.hits); ("disk_loads", s.disk_loads); ("misses", s.misses);
-          ("corrupt", s.corrupt); ("stores", s.stores); ("evictions", s.evictions);
-          ("front", Tuning_cache.size t.cache);
-        ]
-      ~timers:[] ()
-  ^ Obs.Export.prometheus ~prefix:"barracuda_trace"
-      ~counters:[ ("dropped_spans", Obs.Trace.dropped ()) ]
-      ~timers:[] ()
+  let counters_only prefix counters =
+    Obs.Export.prometheus ~prefix ~counters ~sketches:[] ()
+  in
+  Obs.Export.prometheus ~counters:(Metrics.counters t.metrics)
+    ~sketches:(Metrics.sketches t.metrics) ()
+  ^ counters_only "barracuda_cache"
+      [
+        ("hits", s.hits); ("disk_loads", s.disk_loads); ("misses", s.misses);
+        ("corrupt", s.corrupt); ("stores", s.stores); ("evictions", s.evictions);
+        ("front", Tuning_cache.size t.cache);
+      ]
+  ^ counters_only "barracuda_trace" [ ("dropped_spans", Obs.Trace.dropped ()) ]
 
 (* Human-readable SURF convergence report for one response (empty history
    for cache hits: no search ran). *)

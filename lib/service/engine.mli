@@ -77,7 +77,10 @@ val tune_dsl : ?label:string -> t -> string -> response
 (** Rendered metrics plus cache counters plus drift-monitor summary. *)
 val stats_report : t -> string
 
-(** Prometheus text exposition of the service metrics and cache gauges. *)
+(** Prometheus text exposition ({!Obs.Export.prometheus}): the service
+    counters and timer histograms, then the cache counters
+    ([barracuda_cache_*]) and the trace drop counter
+    ([barracuda_trace_dropped_spans_total]). *)
 val prometheus_report : t -> string
 
 (** Human-readable SURF convergence report for one response; notes when no

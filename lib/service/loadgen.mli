@@ -33,10 +33,10 @@
     {!Obs.Whatif} compute causal phase impacts exactly.
 
     Memory is bounded: window state is O(buckets) sketches, the ledger is
-    O(classes x phases) sketch cells plus a fixed exemplar ring, and the
-    engine metrics retain at most {!Metrics.raw_sample_cap} raw samples
-    per timer, so replaying 10^4-10^6 requests does not grow storage with
-    the request count ([record] opts into O(requests) what-if records). *)
+    O(classes x phases) sketch cells plus a fixed exemplar ring, and each
+    engine metrics timer is one sketch, so replaying 10^4-10^6 requests
+    does not grow storage with the request count ([record] opts into
+    O(requests) what-if records). *)
 
 type mix = { mix_label : string; mix_dsl : string; weight : int }
 

@@ -2,17 +2,11 @@
    latency-histogram rendering. Domain-safe behind one mutex (updates are
    tiny; contention is irrelevant next to a tuning evaluation).
 
-   Timers are streaming: each observation updates O(1) state (count, total,
-   sum of squares, min/max, a decade-bucket histogram) plus an Obs.Sketch
-   log-bucket quantile sketch, and is retained raw only up to
-   [raw_sample_cap] samples (a ring of the most recent). Summaries are
-   therefore exact - computed from the raw samples through Util.Stats -
-   while a timer has seen at most [raw_sample_cap] observations, and
-   switch to the streaming state plus sketch quantiles (relative error
-   [sketch_alpha]) beyond it. Memory per timer is O(raw_sample_cap +
-   sketch buckets), never O(observations). *)
+   A timer is one Obs.Sketch plus a decade-bucket histogram: the sketch
+   holds the exact count, total, min, max and second moment and the
+   log-bucket quantiles (relative error [sketch_alpha]), so memory per
+   timer is O(sketch buckets), never O(observations). *)
 
-let raw_sample_cap = 1024
 let sketch_alpha = 0.01
 
 (* Fixed decade buckets: service latencies span microseconds (cache hits)
@@ -20,12 +14,6 @@ let sketch_alpha = 0.01
 let bucket_bounds = [ 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 ]
 
 type timer = {
-  ring : float array;  (* the raw_sample_cap most recent samples *)
-  mutable n : int;  (* total observations ever *)
-  mutable total : float;
-  mutable total_sq : float;
-  mutable vmin : float;
-  mutable vmax : float;
   sketch : Obs.Sketch.t;
   decades : int array;  (* one streaming counter per decade bucket *)
 }
@@ -33,18 +21,11 @@ type timer = {
 type t = {
   counters : (string, int ref) Hashtbl.t;
   timers : (string, timer) Hashtbl.t;
-  watchers : (string, Obs.Drift.t list ref) Hashtbl.t;
-      (* drift monitors per timer name, fed under the same lock *)
   lock : Mutex.t;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 16;
-    timers = Hashtbl.create 16;
-    watchers = Hashtbl.create 4;
-    lock = Mutex.create ();
-  }
+  { counters = Hashtbl.create 16; timers = Hashtbl.create 16; lock = Mutex.create () }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -55,18 +36,6 @@ let incr ?(by = 1) t name =
       match Hashtbl.find_opt t.counters name with
       | Some r -> r := !r + by
       | None -> Hashtbl.add t.counters name (ref by))
-
-let new_timer () =
-  {
-    ring = Array.make raw_sample_cap 0.0;
-    n = 0;
-    total = 0.0;
-    total_sq = 0.0;
-    vmin = infinity;
-    vmax = neg_infinity;
-    sketch = Obs.Sketch.create ~alpha:sketch_alpha ();
-    decades = Array.make (List.length bucket_bounds + 1) 0;
-  }
 
 (* Decade bucket of one sample: [lo, hi) semantics with an unbounded last
    bucket, matching the rendered histogram labels. *)
@@ -83,48 +52,18 @@ let observe t name seconds =
         match Hashtbl.find_opt t.timers name with
         | Some tm -> tm
         | None ->
-          let tm = new_timer () in
+          let tm =
+            {
+              sketch = Obs.Sketch.create ~alpha:sketch_alpha ();
+              decades = Array.make (List.length bucket_bounds + 1) 0;
+            }
+          in
           Hashtbl.add t.timers name tm;
           tm
       in
-      tm.ring.(tm.n mod raw_sample_cap) <- seconds;
-      tm.n <- tm.n + 1;
-      tm.total <- tm.total +. seconds;
-      tm.total_sq <- tm.total_sq +. (seconds *. seconds);
-      if seconds < tm.vmin then tm.vmin <- seconds;
-      if seconds > tm.vmax then tm.vmax <- seconds;
       Obs.Sketch.add tm.sketch seconds;
-      let d = tm.decades in
-      d.(decade_index seconds) <- d.(decade_index seconds) + 1;
-      (* the timer's own observation count is the watch tick, so alarms
-         land at a deterministic per-timer logical time *)
-      match Hashtbl.find_opt t.watchers name with
-      | None -> ()
-      | Some ms ->
-        List.iter (fun m -> ignore (Obs.Drift.observe m ~tick:tm.n seconds)) !ms)
-
-let watch t name monitor =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.watchers name with
-      | Some ms -> ms := !ms @ [ monitor ]
-      | None -> Hashtbl.add t.watchers name (ref [ monitor ]))
-
-let watched t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name ms acc -> (name, !ms) :: acc) t.watchers []
-      |> List.sort compare)
-
-let watch_alarms t =
-  watched t
-  |> List.concat_map (fun (_, ms) -> List.concat_map Obs.Drift.alarms ms)
-  |> List.stable_sort (fun (a : Obs.Drift.alarm) (b : Obs.Drift.alarm) ->
-         match compare a.at_tick b.at_tick with
-         | 0 -> compare a.monitor b.monitor
-         | c -> c)
-
-let time t name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> observe t name (Unix.gettimeofday () -. t0)) f
+      let i = decade_index seconds in
+      tm.decades.(i) <- tm.decades.(i) + 1)
 
 let counter t name =
   locked t (fun () ->
@@ -134,20 +73,6 @@ let counters t =
   locked t (fun () ->
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
       |> List.sort compare)
-
-(* Retained raw samples, oldest first: everything while n <= cap, the most
-   recent cap afterwards. *)
-let retained tm =
-  if tm.n <= raw_sample_cap then Array.to_list (Array.sub tm.ring 0 tm.n)
-  else begin
-    let head = tm.n mod raw_sample_cap in
-    Array.to_list (Array.sub tm.ring head (raw_sample_cap - head))
-    @ Array.to_list (Array.sub tm.ring 0 head)
-  end
-
-let observations t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.timers name with Some tm -> retained tm | None -> [])
 
 type timer_summary = {
   count : int;
@@ -161,48 +86,22 @@ type timer_summary = {
   stddev_s : float;
 }
 
-let summarize_timer tm =
-  if tm.n = 0 then
-    { count = 0; total_s = 0.0; mean_s = nan; median_s = nan; p90_s = nan;
-      p99_s = nan; min_s = nan; max_s = nan; stddev_s = 0.0 }
-  else if tm.n <= raw_sample_cap then
-    (* exact small-n path: identical to summarizing the full history *)
-    let samples = retained tm in
-    {
-      count = tm.n;
-      total_s = tm.total;
-      mean_s = Util.Stats.mean samples;
-      median_s = Util.Stats.median samples;
-      p90_s = Util.Stats.percentile 90.0 samples;
-      p99_s = Util.Stats.percentile 99.0 samples;
-      min_s = tm.vmin;
-      max_s = tm.vmax;
-      stddev_s = Util.Stats.stddev samples;
-    }
-  else
-    (* streaming path: O(1) moments plus sketch quantiles *)
-    let n = float_of_int tm.n in
-    let mean = tm.total /. n in
-    {
-      count = tm.n;
-      total_s = tm.total;
-      mean_s = mean;
-      median_s = Obs.Sketch.quantile tm.sketch 50.0;
-      p90_s = Obs.Sketch.quantile tm.sketch 90.0;
-      p99_s = Obs.Sketch.quantile tm.sketch 99.0;
-      min_s = tm.vmin;
-      max_s = tm.vmax;
-      stddev_s = sqrt (Float.max 0.0 ((tm.total_sq /. n) -. (mean *. mean)));
-    }
+let summarize sk =
+  {
+    count = Obs.Sketch.count sk;
+    total_s = Obs.Sketch.total sk;
+    mean_s = Obs.Sketch.mean sk;
+    median_s = Obs.Sketch.quantile sk 50.0;
+    p90_s = Obs.Sketch.quantile sk 90.0;
+    p99_s = Obs.Sketch.quantile sk 99.0;
+    min_s = Obs.Sketch.min_value sk;
+    max_s = Obs.Sketch.max_value sk;
+    stddev_s = Obs.Sketch.stddev sk;
+  }
 
 let summaries t =
   locked t (fun () ->
-      Hashtbl.fold (fun name tm acc -> (name, summarize_timer tm) :: acc) t.timers []
-      |> List.sort compare)
-
-let all_observations t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name tm acc -> (name, retained tm) :: acc) t.timers []
+      Hashtbl.fold (fun name tm acc -> (name, summarize tm.sketch) :: acc) t.timers []
       |> List.sort compare)
 
 let quantile t name p =
@@ -217,12 +116,6 @@ let sketches t =
         (fun name tm acc -> (name, Obs.Sketch.copy tm.sketch) :: acc)
         t.timers []
       |> List.sort compare)
-
-(* Prometheus text exposition: counters plus native histograms sourced
-   from the sketches (O(buckets) per timer, independent of traffic). *)
-let prometheus ?prefix t =
-  let cs = counters t and sk = sketches t in
-  Obs.Export.prometheus_sketches ?prefix ~counters:cs ~sketches:sk ()
 
 let bucket_label lo hi =
   let s v =

@@ -1,20 +1,13 @@
 (** Service metrics: named counters and wall-clock timers with decade
     latency histograms. All operations are domain-safe.
 
-    Timers are streaming: every observation updates O(1) state (count,
-    total, sum of squares, min/max, decade histogram) plus an {!Obs.Sketch}
-    quantile sketch; only the most recent {!raw_sample_cap} raw samples are
-    retained, so a timer's memory is bounded no matter how long the
-    service runs. Summaries are exact (via {!Util.Stats}) up to the cap
-    and switch to streaming moments + sketch quantiles beyond it. *)
+    A timer is one {!Obs.Sketch} plus its decade counters. The sketch
+    keeps the exact count, total, min, max and second moment of every
+    observation, and quantiles within relative error {!sketch_alpha}; no
+    raw sample is retained, so a timer's memory is bounded no matter how
+    long the service runs. *)
 
 type t
-
-(** Raw samples retained per timer (1024). At or below this count,
-    {!summaries} is exact over the full history; beyond it, quantiles come
-    from the sketch (relative error {!sketch_alpha}) and the other fields
-    from exact streaming state. *)
-val raw_sample_cap : int
 
 (** Relative accuracy of the per-timer quantile sketches (0.01). *)
 val sketch_alpha : float
@@ -26,33 +19,17 @@ val incr : ?by:int -> t -> string -> unit
 (** Record one duration, in seconds, under a timer name. *)
 val observe : t -> string -> float -> unit
 
-(** Time a thunk and record its wall duration (also on exception). *)
-val time : t -> string -> (unit -> 'a) -> 'a
-
-(** [watch t name monitor] attaches a {!Obs.Drift} monitor to a timer:
-    every subsequent {!observe} on [name] feeds the monitor under the
-    metrics lock, with the timer's own observation count as the logical
-    tick. Several monitors may watch one timer. *)
-val watch : t -> string -> Obs.Drift.t -> unit
-
-(** Watched timers with their monitors, sorted by timer name. *)
-val watched : t -> (string * Obs.Drift.t list) list
-
-(** All alarms across watched timers, sorted by tick then monitor name. *)
-val watch_alarms : t -> Obs.Drift.alarm list
-
 (** Current value of a counter (0 if never incremented). *)
 val counter : t -> string -> int
 
 (** All counters, sorted by name. *)
 val counters : t -> (string * int) list
 
-(** Retained raw durations of a timer, oldest first: the full history up
-    to {!raw_sample_cap} observations, the most recent cap afterwards. *)
-val observations : t -> string -> float list
-
+(** Count, total, min, max, mean and stddev are exact over every
+    observation (mean and stddev up to rounding); the quantiles are sketch
+    estimates within the {!Obs.Sketch} error bound. *)
 type timer_summary = {
-  count : int;  (** observations ever, not capped *)
+  count : int;
   total_s : float;
   mean_s : float;
   median_s : float;
@@ -65,26 +42,18 @@ type timer_summary = {
 
 val summaries : t -> (string * timer_summary) list
 
-(** All timers with their retained durations, oldest first, sorted by
-    name (see {!observations} for the cap semantics). *)
-val all_observations : t -> (string * float list) list
-
 (** Sketch-estimated quantile of a timer, [p] in [0, 100]; [nan] for an
     unknown timer. *)
 val quantile : t -> string -> float -> float
 
-(** Independent copies of the per-timer quantile sketches, sorted by
-    name - the source for native-histogram exposition. *)
+(** Independent copies of the per-timer sketches, sorted by name - the
+    source for the native-histogram exposition of
+    {!Engine.prometheus_report}. *)
 val sketches : t -> (string * Obs.Sketch.t) list
 
-(** Prometheus text exposition: counters plus native histograms
-    ([_bucket]/[le] lines) sourced from the timer sketches
-    (see {!Obs.Export.prometheus_sketches}). *)
-val prometheus : ?prefix:string -> t -> string
-
 (** Decade buckets from 100us to 10s: [("<100us", n); ...; (">=10s", n)].
-    Counts are streaming (never capped); cache hits land in the
-    microsecond buckets, cold tunes in the second buckets. *)
+    Cache hits land in the microsecond buckets, cold tunes in the second
+    buckets. *)
 val histogram : t -> string -> (string * int) list
 
 (** Human-readable report: counters, timer summaries, histograms. *)

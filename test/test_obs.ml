@@ -200,17 +200,19 @@ let test_chrome_trace_multidomain_balanced () =
 (* ---------------- Prometheus export ---------------- *)
 
 let test_prometheus_export () =
+  let lat = Obs.Sketch.create () in
+  List.iter (Obs.Sketch.add lat) [ 0.1; 0.2; 0.3; 0.4 ];
   let s =
     Obs.Export.prometheus ~prefix:"test"
       ~counters:[ ("hits", 3); ("weird name!", 1) ]
-      ~timers:[ ("lat", [ 0.1; 0.2; 0.3; 0.4 ]) ]
+      ~sketches:[ ("lat", lat) ]
       ()
   in
   check_bool "counter line" true (contains_sub s "test_hits_total 3");
   check_bool "name sanitized" true (contains_sub s "test_weird_name__total 1");
-  check_bool "summary count" true (contains_sub s "test_lat_seconds_count 4");
-  check_bool "median quantile" true (contains_sub s "quantile=\"0.5\"");
-  check_bool "p99 quantile" true (contains_sub s "quantile=\"0.99\"")
+  check_bool "histogram count" true (contains_sub s "test_lat_seconds_count 4");
+  check_bool "histogram type" true (contains_sub s "# TYPE test_lat_seconds histogram");
+  check_bool "+Inf bucket" true (contains_sub s "test_lat_seconds_bucket{le=\"+Inf\"} 4")
 
 (* ---------------- search log ---------------- *)
 

@@ -1,6 +1,6 @@
 (* Streaming telemetry: quantile-sketch error bound and merge algebra,
-   deterministic window eviction, SLO burn-rate alerting, the bounded
-   metrics registry, native-histogram exposition, and the journal-replay
+   merged moments, deterministic window eviction, SLO burn-rate alerting,
+   sketch-backed metrics summaries against Util.Stats, native-histogram exposition, and the journal-replay
    load harness. *)
 
 let check_int = Alcotest.(check int)
@@ -297,37 +297,101 @@ let test_slo_json_roundtrip () =
 
 (* ---------------- metrics (bounded registry) ---------------- *)
 
+(* Latency-like samples spanning seven decades, [1e-6, 10] s, all above
+   the sketch floor; lists of 1-3000 cover both sides of 1024. *)
+let latencies max_len =
+  QCheck.(
+    map
+      (List.map (fun i -> 10.0 ** ((float_of_int i /. 1e5) -. 6.0)))
+      (list_of_size Gen.(1 -- max_len) (int_range 0 700_000)))
+
+let rel_close tol expect got =
+  expect = got || abs_float (got -. expect) <= tol *. abs_float expect
+
+(* Timer summaries are exact where the sketch is exact (count, total,
+   min, max), mean and std agree with Util.Stats to rounding, and p50,
+   p90, p99 lie in the sketch's (1 +- alpha) bracket around the two order
+   statistics Util.Stats.percentile interpolates between. *)
+let qcheck_metrics_summaries =
+  QCheck.Test.make ~name:"metrics: summaries match Util.Stats on 1-3000 samples"
+    ~count:60 (latencies 3000) (fun xs ->
+      let m = Service.Metrics.create () in
+      List.iter (Service.Metrics.observe m "t") xs;
+      let s = List.assoc "t" (Service.Metrics.summaries m) in
+      let sorted = Array.of_list (List.sort compare xs) in
+      let n = Array.length sorted in
+      let alpha = Service.Metrics.sketch_alpha in
+      let in_bracket p q =
+        let r = p /. 100.0 *. float_of_int (n - 1) in
+        let lo = sorted.(int_of_float (Float.floor r)) *. (1.0 -. alpha) in
+        let hi = sorted.(int_of_float (Float.ceil r)) *. (1.0 +. alpha) in
+        let exact = Util.Stats.percentile p xs in
+        lo <= exact && exact <= hi && lo -. 1e-15 <= q && q <= hi +. 1e-15
+      in
+      s.count = n
+      && s.total_s = List.fold_left ( +. ) 0.0 xs
+      && s.min_s = sorted.(0)
+      && s.max_s = sorted.(n - 1)
+      && rel_close 1e-12 (Util.Stats.mean xs) s.mean_s
+      && rel_close 1e-9 (Util.Stats.stddev xs) s.stddev_s
+      && in_bracket 50.0 s.median_s
+      && in_bracket 90.0 s.p90_s
+      && in_bracket 99.0 s.p99_s)
+
+(* Chan's merge of the second moment: a merged sketch reports the same
+   moments as one sketch fed both streams. *)
+let qcheck_sketch_merged_moments =
+  QCheck.Test.make ~name:"sketch: merged moments equal single-stream moments"
+    ~count:80
+    QCheck.(pair (latencies 1500) (latencies 1500))
+    (fun (xs, ys) ->
+      let mk vs =
+        let s = Obs.Sketch.create () in
+        List.iter (Obs.Sketch.add s) vs;
+        s
+      in
+      let merged = Obs.Sketch.merge (mk xs) (mk ys) and single = mk (xs @ ys) in
+      let module S = Obs.Sketch in
+      S.count merged = S.count single
+      && S.min_value merged = S.min_value single
+      && S.max_value merged = S.max_value single
+      && rel_close 1e-9 (S.total single) (S.total merged)
+      && rel_close 1e-9 (S.mean single) (S.mean merged)
+      && rel_close 1e-9 (S.stddev single) (S.stddev merged))
+
+(* A short run (below the old 1024-sample raw cap): count, total, min and
+   max are exact, mean matches Util.Stats to rounding, and the median and
+   p99 sit inside the sketch's relative-error bound. *)
 let test_metrics_exact_below_cap () =
   let m = Service.Metrics.create () in
   let xs = List.init 500 (fun i -> float_of_int (i + 1) *. 1e-4) in
   List.iter (Service.Metrics.observe m "t") xs;
   let s = List.assoc "t" (Service.Metrics.summaries m) in
+  let alpha = Service.Metrics.sketch_alpha in
   check_int "count" 500 s.count;
-  Alcotest.(check (float 1e-12)) "median exact" (Util.Stats.median xs) s.median_s;
-  Alcotest.(check (float 1e-12)) "p99 exact"
-    (Util.Stats.percentile 99.0 xs)
-    s.p99_s;
-  check_int "all samples retained" 500
-    (List.length (Service.Metrics.observations m "t"))
+  Alcotest.(check (float 0.0)) "total exact" (List.fold_left ( +. ) 0.0 xs)
+    s.total_s;
+  Alcotest.(check (float 0.0)) "min exact" 1e-4 s.min_s;
+  Alcotest.(check (float 0.0)) "max exact" 500e-4 s.max_s;
+  Alcotest.(check (float 1e-12)) "mean" (Util.Stats.mean xs) s.mean_s;
+  let within p q =
+    let exact = Util.Stats.percentile p xs in
+    abs_float (q -. exact) /. exact <= 2.0 *. alpha
+  in
+  check_bool "median within sketch bound" true (within 50.0 s.median_s);
+  check_bool "p99 within sketch bound" true (within 99.0 s.p99_s)
 
+(* A long run (well past the old raw cap): the count and moments keep
+   streaming, quantiles stay inside the sketch bound, and the timer's
+   memory - its sketch buckets - stays bounded by the value range, not
+   by the number of observations. *)
 let test_metrics_bounded_beyond_cap () =
   let m = Service.Metrics.create () in
   let n = 3000 in
   let xs = List.init n (fun i -> float_of_int (i + 1) *. 1e-4) in
   List.iter (Service.Metrics.observe m "t") xs;
-  let cap = Service.Metrics.raw_sample_cap in
-  let retained = Service.Metrics.observations m "t" in
-  check_int "raw samples capped" cap (List.length retained);
-  (* oldest-first ring: the retained window is the most recent cap *)
-  Alcotest.(check (float 1e-12)) "oldest retained"
-    (float_of_int (n - cap + 1) *. 1e-4)
-    (List.hd retained);
-  Alcotest.(check (float 1e-12)) "newest retained" (float_of_int n *. 1e-4)
-    (List.nth retained (cap - 1));
   let s = List.assoc "t" (Service.Metrics.summaries m) in
   check_int "count streams past the cap" n s.count;
-  (* streaming moments stay exact; quantiles fall back to the sketch and
-     stay inside its relative-error bound *)
   Alcotest.(check (float 1e-9)) "mean exact" (Util.Stats.mean xs) s.mean_s;
   Alcotest.(check (float 1e-12)) "min exact" 1e-4 s.min_s;
   Alcotest.(check (float 1e-12)) "max exact" (float_of_int n *. 1e-4) s.max_s;
@@ -336,14 +400,24 @@ let test_metrics_bounded_beyond_cap () =
     (abs_float (s.p99_s -. exact) /. exact <= 2.0 *. Service.Metrics.sketch_alpha);
   let exact_sd = Util.Stats.stddev xs in
   check_bool "stddev from streaming moments" true
-    (abs_float (s.stddev_s -. exact_sd) /. exact_sd < 1e-6)
+    (abs_float (s.stddev_s -. exact_sd) /. exact_sd < 1e-6);
+  let sk = List.assoc "t" (Service.Metrics.sketches m) in
+  let buckets = Obs.Sketch.bucket_count sk in
+  (* [1e-4, 0.3] spans ln(3000)/ln((1+a)/(1-a)) ~ 401 buckets at a = 0.01 *)
+  check_bool "buckets bounded by the value range" true
+    (buckets > 0 && buckets <= 410);
+  for _ = 1 to 3 do
+    List.iter (Service.Metrics.observe m "t") xs
+  done;
+  check_int "buckets do not grow with repeats" buckets
+    (Obs.Sketch.bucket_count
+       (List.assoc "t" (Service.Metrics.sketches m)))
 
 let test_metrics_histogram_streams () =
   let m = Service.Metrics.create () in
   for _ = 1 to 2000 do
     Service.Metrics.observe m "t" 5e-4
   done;
-  (* decade counters never cap, unlike the raw ring *)
   check_int "all observations bucketed" 2000
     (List.assoc "100us-1ms" (Service.Metrics.histogram m "t"))
 
@@ -364,7 +438,10 @@ let test_prometheus_native_histogram () =
   let m = Service.Metrics.create () in
   List.iter (Service.Metrics.observe m "req") [ 1e-3; 2e-3; 4e-3 ];
   Service.Metrics.incr m "served";
-  let out = Service.Metrics.prometheus m in
+  let out =
+    Obs.Export.prometheus ~counters:(Service.Metrics.counters m)
+      ~sketches:(Service.Metrics.sketches m) ()
+  in
   check_contains "exposition" out "# HELP barracuda_served_total";
   check_contains "exposition" out "# TYPE barracuda_served_total counter";
   check_contains "exposition" out "# TYPE barracuda_req_seconds histogram";
@@ -387,7 +464,7 @@ let test_metric_name_escaping () =
   let s = Obs.Sketch.create () in
   Obs.Sketch.add s 1.0;
   let out =
-    Obs.Export.prometheus_sketches ~prefix:""
+    Obs.Export.prometheus ~prefix:""
       ~counters:[ ("9lives!", 1) ]
       ~sketches:[ ("weird name", s) ]
       ()
@@ -397,15 +474,15 @@ let test_metric_name_escaping () =
   check_contains "escaped counter" out "_9lives__total 1";
   check_contains "escaped timer" out "weird_name_seconds_bucket"
 
-let test_legacy_prometheus_help () =
-  let out =
-    Obs.Export.prometheus ~counters:[ ("hits", 2) ]
-      ~timers:[ ("req", [ 1e-3 ]) ]
-      ()
-  in
-  check_contains "counter help" out "# HELP barracuda_hits_total";
-  check_contains "summary help" out "# HELP barracuda_req_seconds";
-  check_contains "summary type" out "# TYPE barracuda_req_seconds summary"
+(* A group without timers renders its counters alone, byte for byte: the
+   cache and trace groups of Engine.prometheus_report. *)
+let test_prometheus_counters_only () =
+  Alcotest.(check string) "counters-only group"
+    "# HELP barracuda_cache_hits_total Occurrences of hits.\n\
+     # TYPE barracuda_cache_hits_total counter\n\
+     barracuda_cache_hits_total 2\n"
+    (Obs.Export.prometheus ~prefix:"barracuda_cache" ~counters:[ ("hits", 2) ]
+       ~sketches:[] ())
 
 let test_prometheus_sketch_health_gauges () =
   (* every exposed timer carries its sketch-health gauges: the live bucket
@@ -413,7 +490,7 @@ let test_prometheus_sketch_health_gauges () =
   let healthy = Obs.Sketch.create ~alpha:0.01 () in
   List.iter (Obs.Sketch.add healthy) [ 1e-3; 2e-3; 4e-3 ];
   let out =
-    Obs.Export.prometheus_sketches ~counters:[]
+    Obs.Export.prometheus ~counters:[]
       ~sketches:[ ("req", healthy) ] ()
   in
   check_contains "buckets gauge type" out
@@ -427,7 +504,7 @@ let test_prometheus_sketch_health_gauges () =
     Obs.Sketch.add capped (10.0 ** float_of_int i)
   done;
   let out =
-    Obs.Export.prometheus_sketches ~counters:[]
+    Obs.Export.prometheus ~counters:[]
       ~sketches:[ ("req", capped) ] ()
   in
   check_contains "collapse flagged" out "barracuda_req_sketch_collapsed 1"
@@ -476,15 +553,14 @@ let test_loadgen_result_shape () =
   (* the two cold tunes hit the engine; the rest are hits or dedups *)
   check_bool "cold tunes happened" true (List.mem_assoc "tuned" r.served);
   check_bool "healthy defaults meet the SLO" true (Obs.Slo.ok r.verdict);
-  (* bounded memory: the window is O(buckets) sketches and the engine's
-     timers retain at most the raw-sample cap *)
+  (* bounded memory: the window is O(buckets) sketches and each engine
+     timer is one sketch *)
   let snap = Obs.Window.snapshot r.window ~now:r.ticks in
   check_bool "sketch stays small" true (Obs.Sketch.bucket_count snap.sketch < 512);
   List.iter
-    (fun (_, obs) ->
-      check_bool "timer storage capped" true
-        (List.length obs <= Service.Metrics.raw_sample_cap))
-    (Service.Metrics.all_observations r.metrics)
+    (fun (_, sk) ->
+      check_bool "timer storage bounded" true (Obs.Sketch.bucket_count sk < 512))
+    (Service.Metrics.sketches r.metrics)
 
 let test_loadgen_violation_pages () =
   let cfg =
@@ -592,8 +668,8 @@ let suite =
       test_prometheus_native_histogram;
     Alcotest.test_case "export: metric-name escaping" `Quick
       test_metric_name_escaping;
-    Alcotest.test_case "export: legacy summary keeps HELP" `Quick
-      test_legacy_prometheus_help;
+    Alcotest.test_case "export: counters-only group is byte-exact" `Quick
+      test_prometheus_counters_only;
     Alcotest.test_case "export: sketch health gauges" `Quick
       test_prometheus_sketch_health_gauges;
     Alcotest.test_case "loadgen: deterministic replay" `Quick
@@ -612,5 +688,7 @@ let suite =
       [
         qcheck_sketch_error_bound;
         qcheck_sketch_merge_algebra;
+        qcheck_sketch_merged_moments;
+        qcheck_metrics_summaries;
         qcheck_window_replay_deterministic;
       ]
