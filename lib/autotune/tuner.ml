@@ -406,24 +406,18 @@ let tune ?(strategy = Surf_search Surf.Search.default_config) ?(reps = 100)
 (* Emit the tuned CUDA for a result. *)
 let emit_cuda result = Codegen.Cuda.emit_program result.best.ir result.best.points
 
-(* Validate that the tuned program computes the reference result. *)
-let validate ?(tol = 1e-9) ?(rng = Util.Rng.create 11) result =
-  let ir = result.best.ir in
-  let inputs =
-    List.filter_map
-      (fun (v : Tcr.Ir.var) ->
-        if v.role = Tcr.Ir.Input then
-          Some (v.name, Tensor.Dense.random rng (Tcr.Ir.var_shape ir v.name))
-        else None)
-      ir.vars
+(* Whether the winner is proven to compute its contraction: the semantic
+   gate's verdict, or a fresh translation validation when the gate was off
+   or skipped. *)
+let validate result =
+  let v =
+    match result.semantic with
+    | Some v -> v
+    | None ->
+      Check.Semantic.validate ~label:result.benchmark.label result.benchmark.statements
+        ~variant_ids:result.best.variant_ids ~ir:result.best.ir ~points:result.best.points
   in
-  let got = Codegen.Exec.run_program ir result.best.points inputs in
-  let want = Codegen.Exec.run_reference ir inputs in
-  List.for_all
-    (fun (v : Tcr.Ir.var) ->
-      v.role <> Tcr.Ir.Output
-      || Tensor.Dense.approx_equal ~tol (List.assoc v.name want) (List.assoc v.name got))
-    ir.vars
+  v.equivalent
 
 (* ------------------------------------------------------------------ *)
 (* CPU baselines: the sequential (and OpenMP) Haswell implementations also

@@ -45,17 +45,10 @@ let check_bounds (k : Codegen.Kernel.t) =
       else begin
         let exts = List.map (fun (_, e) -> Option.get e) extents in
         let size = List.fold_left ( * ) 1 exts in
-        (* row-major strides of the declared dims *)
-        let strides =
-          List.mapi
-            (fun i _ ->
-              List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) exts))
-            exts
-        in
         let max_offset =
           List.fold_left2
             (fun acc idx stride -> acc + (stride * (index_range k idx - 1)))
-            0 dims strides
+            0 dims (Codegen.Kernel.strides k dims)
         in
         if max_offset >= size then
           [

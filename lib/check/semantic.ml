@@ -18,12 +18,11 @@
    one: the DSL as the direct einsum, the variant as its binary-contraction
    plan over temporaries, the TCR program following each op's loop_order,
    the recipe through Space.serial_schedule (mapped indices x serial
-   schedule), and the kernel by faithful interpretation of the kernel IR -
-   grid/block loops, unrolled main loop plus epilogue, scalar replacement,
-   shared-memory staging, and addresses formed from the KERNEL'S OWN
-   extents table so that corrupted strides surface as wrong values or
+   schedule), and the kernel by Codegen.Exec - the one interpreter of the
+   kernel IR, run here over F_p - whose addresses come from the KERNEL'S
+   OWN extents table, so corrupted strides surface as wrong values or
    out-of-bounds accesses rather than being silently normalized away.
-   Every access is bounds-checked against the true allocation; an
+   Every kernel access is bounds-checked against the true allocation; an
    out-of-bounds read is reported as the stage's divergence.
 
    Codes (stage = the earliest one that stopped agreeing with its parent):
@@ -33,7 +32,6 @@
      BAR063  lowered kernel disagrees with the recipe (including OOB)
      BAR064  evaluation aborted (structural failure before comparison) *)
 
-exception Oob of string
 exception Abort of string
 
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
@@ -51,12 +49,10 @@ let mulp a b = a * b mod prime
 (* ------------------------------------------------------------------ *)
 (* Field tensors *)
 
-type tensor = { dims : string list; data : int array }
-
-type env = (string, tensor) Hashtbl.t
+type env = (string * int array) list
 
 let find (env : env) name =
-  match Hashtbl.find_opt env name with
+  match List.assoc_opt name env with
   | Some t -> t
   | None -> abort "unbound tensor %s" name
 
@@ -65,37 +61,24 @@ let ext_of extents i =
   | Some e -> e
   | None -> abort "no extent for index %s" i
 
-let shape_of extents dims = List.map (ext_of extents) dims
-let size_of shape = List.fold_left ( * ) 1 shape
-
-let strides_of shape =
-  let n = List.length shape in
-  List.init n (fun i ->
-      List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) shape))
-
-let alloc extents dims = { dims; data = Array.make (size_of (shape_of extents dims)) 0 }
+let shape_of extents dims = Array.of_list (List.map (ext_of extents) dims)
+let alloc extents dims = Array.make (Tensor.Shape.num_elements (shape_of extents dims)) 0
 
 (* Fresh random inputs for one round, drawn in declaration order so the
    whole validation is a pure function of the seed. *)
 let random_inputs rng extents (inputs : (string * string list) list) : env =
-  let env = Hashtbl.create 16 in
-  List.iter
+  List.map
     (fun (name, dims) ->
       let t = alloc extents dims in
-      for i = 0 to Array.length t.data - 1 do
-        t.data.(i) <- Util.Rng.int rng prime
+      for i = 0 to Array.length t - 1 do
+        t.(i) <- Util.Rng.int rng prime
       done;
-      Hashtbl.replace env name t)
-    inputs;
-  env
+      (name, t))
+    inputs
 
-let with_produced (inputs : env) extents (produced : (string * string list) list) : env =
-  let env = Hashtbl.copy inputs in
-  List.iter
-    (fun (name, dims) ->
-      if not (Hashtbl.mem env name) then Hashtbl.replace env name (alloc extents dims))
-    produced;
-  env
+(* [inputs] plus a zeroed field tensor per produced (name, dims) *)
+let with_produced (inputs : env) extents produced : env =
+  Codegen.Exec.with_produced (alloc extents) inputs produced
 
 (* ------------------------------------------------------------------ *)
 (* Generic sum-of-products evaluation: out[out_dims] += prod factors,
@@ -115,11 +98,10 @@ let eval_sop ~extents (env : env) ~out:(oname, odims) ~factors ~order =
     go 0
   in
   let compile (name, dims) =
-    let t = find env name in
-    let strides = strides_of (shape_of extents dims) in
+    let strides = Tensor.Shape.strides (shape_of extents dims) in
     let s = Array.make nslots 0 in
-    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + List.nth strides pos) dims;
-    (t.data, s)
+    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + strides.(pos)) dims;
+    (find env name, s)
   in
   let odata, ostrides = compile (oname, odims) in
   let factor_refs = Array.of_list (List.map compile factors) in
@@ -167,7 +149,7 @@ let eval_dsl ~extents inputs (statements : Octopi.Contraction.t list) =
         ~factors:(refs_of c.factors)
         ~order:(c.output_indices @ c.sum_indices))
     statements;
-  List.map (fun (name, _) -> (name, (find env name).data)) produced
+  List.map (fun (name, _) -> (name, find env name)) produced
 
 (* Stage 2 - variant: each statement's strength-reduction plan, evaluated
    op by op over its temporaries. Temporaries are renamed apart across
@@ -177,36 +159,33 @@ let eval_variant ~extents inputs
   let outputs =
     List.map (fun ((c : Octopi.Contraction.t), _) -> (c.output, c.output_indices)) choices
   in
-  let env = with_produced inputs extents outputs in
-  List.iteri
-    (fun si ((c : Octopi.Contraction.t), (v : Octopi.Variants.variant)) ->
-      let rename name =
-        if name = c.output then name
-        else if List.exists (fun (op : Octopi.Plan.op) -> op.out = name) v.ops then
-          Printf.sprintf "s%d_%s" (si + 1) name
-        else name
+  let ops =
+    List.concat
+      (List.mapi
+         (fun si ((c : Octopi.Contraction.t), (v : Octopi.Variants.variant)) ->
+           let rename name =
+             if name = c.output then name
+             else if List.exists (fun (op : Octopi.Plan.op) -> op.out = name) v.ops then
+               Printf.sprintf "s%d_%s" (si + 1) name
+             else name
+           in
+           List.map
+             (fun (op : Octopi.Plan.op) ->
+               ( (rename op.out, op.out_indices),
+                 List.map (fun (n, d) -> (rename n, d)) op.factors ))
+             v.ops)
+         choices)
+  in
+  let env = with_produced inputs extents (outputs @ List.map fst ops) in
+  List.iter
+    (fun (((_, out_indices) as out), factors) ->
+      let red =
+        List.sort_uniq compare (List.concat_map snd factors)
+        |> List.filter (fun i -> not (List.mem i out_indices))
       in
-      List.iter
-        (fun (op : Octopi.Plan.op) ->
-          let out = rename op.out in
-          let factors = List.map (fun (n, d) -> (rename n, d)) op.factors in
-          if not (Hashtbl.mem env out) then
-            Hashtbl.replace env out (alloc extents op.out_indices);
-          let red =
-            List.sort_uniq compare (List.concat_map snd factors)
-            |> List.filter (fun i -> not (List.mem i op.out_indices))
-          in
-          eval_sop ~extents env ~out:(out, op.out_indices) ~factors
-            ~order:(op.out_indices @ red))
-        v.ops)
-    choices;
-  List.map (fun (name, _) -> (name, (find env name).data)) outputs
-
-let ir_produced (ir : Tcr.Ir.t) =
-  List.filter_map
-    (fun (v : Tcr.Ir.var) ->
-      if v.role = Tcr.Ir.Input then None else Some (v.name, v.dims))
-    ir.vars
+      eval_sop ~extents env ~out ~factors ~order:(out_indices @ red))
+    ops;
+  List.map (fun (name, _) -> (name, find env name)) outputs
 
 let ir_outputs (ir : Tcr.Ir.t) =
   List.filter_map
@@ -217,20 +196,20 @@ let ir_outputs (ir : Tcr.Ir.t) =
 (* Stage 3 - tcr: the merged program, each op iterated by its own
    loop_order. *)
 let eval_tcr ~extents inputs (ir : Tcr.Ir.t) =
-  let env = with_produced inputs extents (ir_produced ir) in
+  let env = with_produced inputs extents (Codegen.Exec.produced ir) in
   List.iter
     (fun (op : Tcr.Ir.op) ->
       eval_sop ~extents env ~out:(op.out, op.out_indices) ~factors:op.factors
         ~order:op.loop_order)
     ir.ops;
-  List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
+  List.map (fun name -> (name, find env name)) (ir_outputs ir)
 
 (* Stage 4 - recipe: each op under its search point, iterating the mapped
    indices then the serial schedule (the single definition shared with the
    kernel lowering). *)
 let eval_recipe ~extents inputs (ir : Tcr.Ir.t) (points : Tcr.Space.point list) =
   if List.length points <> List.length ir.ops then abort "one point per op required";
-  let env = with_produced inputs extents (ir_produced ir) in
+  let env = with_produced inputs extents (Codegen.Exec.produced ir) in
   List.iter2
     (fun (op : Tcr.Ir.op) (point : Tcr.Space.point) ->
       let mapped = Tcr.Space.mapped_indices point.decomp in
@@ -238,211 +217,13 @@ let eval_recipe ~extents inputs (ir : Tcr.Ir.t) (points : Tcr.Space.point list) 
       eval_sop ~extents env ~out:(op.out, op.out_indices) ~factors:op.factors
         ~order:(mapped @ parallel_serial @ reductions))
     ir.ops points;
-  List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
+  List.map (fun name -> (name, find env name)) (ir_outputs ir)
 
-(* ------------------------------------------------------------------ *)
-(* Stage 5 - kernel: faithful interpretation of the kernel IR. Mirrors
-   Exec.run_kernel (grid/block loops, unrolled main loop + epilogue,
-   scalar replacement, shared-memory staging) but over F_p and with one
-   deliberate difference: addresses are formed from the kernel's OWN
-   extents table, bounds-checked against the true allocation, so stride
-   corruption is observed rather than normalized away. *)
-
-let eval_kernel (env : env) (k : Codegen.Kernel.t) =
-  let kext i =
-    match List.assoc_opt i k.extents with
-    | Some e -> e
-    | None -> abort "kernel %s has no extent for index %s" k.name i
-  in
-  let d = k.decomp in
-  let index_names =
-    (d.tx :: d.bx :: (Option.to_list d.ty @ Option.to_list d.by))
-    @ List.map (fun (l : Codegen.Kernel.loop) -> l.index) k.thread_loops
-  in
-  let slot_names = Array.of_list index_names in
-  let nslots = Array.length slot_names in
-  let slot name =
-    let rec go i =
-      if i >= nslots then abort "kernel %s: index %s has no slot" k.name name
-      else if slot_names.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let vals = Array.make nslots 0 in
-  let compile (name, dims) =
-    let t = find env name in
-    let strides = strides_of (List.map kext dims) in
-    let s = Array.make nslots 0 in
-    List.iteri (fun pos dim -> s.(slot dim) <- s.(slot dim) + List.nth strides pos) dims;
-    (name, t.data, s)
-  in
-  let offset (name, data, strides) =
-    let off = ref 0 in
-    for i = 0 to nslots - 1 do
-      off := !off + (strides.(i) * vals.(i))
-    done;
-    if !off < 0 || !off >= Array.length data then
-      raise
-        (Oob
-           (Printf.sprintf "kernel %s accesses %s at linear offset %d outside its %d elements"
-              k.name name !off (Array.length data)));
-    !off
-  in
-  let out_ref = compile (k.op.out, k.op.out_indices) in
-  (* staged tiles: refreshed per block via the same decode the CUDA
-     cooperative load performs; a non-positive guard admits no loaders and
-     leaves the tile zero, exactly as the emitted code would *)
-  let tiles =
-    List.map
-      (fun (s : Codegen.Kernel.staging) ->
-        let dims =
-          match List.assoc_opt s.array k.arrays with
-          | Some dims -> dims
-          | None -> abort "kernel %s stages unknown array %s" k.name s.array
-        in
-        let src = find env s.array in
-        let gstrides = Array.of_list (strides_of (List.map kext dims)) in
-        let tile_exts = Array.of_list (List.map kext s.tile_dims) in
-        let tile = Array.make (Array.fold_left ( * ) 1 tile_exts) 0 in
-        (s, dims, gstrides, tile_exts, tile, src.data))
-      k.staging
-  in
-  let refresh_tiles () =
-    List.iter
-      (fun ((s : Codegen.Kernel.staging), dims, gstrides, tile_exts, tile, src) ->
-        let no_loaders = match s.guard with Some g -> g <= 0 | None -> false in
-        if not no_loaders then begin
-          let m = Array.length tile_exts in
-          let coords = Array.make m 0 in
-          let tile_pos dim =
-            let rec go j = function
-              | [] -> None
-              | d :: rest -> if d = dim then Some j else go (j + 1) rest
-            in
-            go 0 s.tile_dims
-          in
-          for t = 0 to Array.length tile - 1 do
-            let rem = ref t in
-            for j = m - 1 downto 0 do
-              coords.(j) <- !rem mod tile_exts.(j);
-              rem := !rem / tile_exts.(j)
-            done;
-            let off = ref 0 in
-            List.iteri
-              (fun pos dim ->
-                let v =
-                  match tile_pos dim with
-                  | Some j -> coords.(j)
-                  | None -> vals.(slot dim)
-                in
-                off := !off + (gstrides.(pos) * v))
-              dims;
-            if !off < 0 || !off >= Array.length src then
-              raise
-                (Oob
-                   (Printf.sprintf
-                      "kernel %s stages %s from linear offset %d outside its %d elements"
-                      k.name s.array !off (Array.length src)));
-            tile.(t) <- src.(!off)
-          done
-        end)
-      tiles
-  in
-  let factor_refs =
-    Array.of_list
-      (List.map
-         (fun (name, dims) ->
-           match
-             List.find_opt
-               (fun ((s : Codegen.Kernel.staging), _, _, _, _, _) -> s.array = name)
-               tiles
-           with
-           | Some (s, _, _, tile_exts, tile, _) ->
-             let tstrides = strides_of (Array.to_list tile_exts) in
-             let str = Array.make nslots 0 in
-             List.iteri
-               (fun j dim -> str.(slot dim) <- str.(slot dim) + List.nth tstrides j)
-               s.tile_dims;
-             (name ^ "_tile", tile, str)
-           | None -> compile (name, dims))
-         k.op.factors)
-  in
-  let product () =
-    let p = ref 1 in
-    Array.iter (fun r -> p := mulp !p (let _, data, _ = r in data.(offset r))) factor_refs;
-    !p
-  in
-  let parallel_loops, reduction_loops =
-    List.partition (fun (l : Codegen.Kernel.loop) -> l.parallel) k.thread_loops
-  in
-  let acc = ref 0 in
-  let rec run_reductions = function
-    | [] -> acc := addp !acc (product ())
-    | (l : Codegen.Kernel.loop) :: rest ->
-      let s = slot l.index in
-      let u = max 1 l.unroll and e = l.extent in
-      let i = ref 0 in
-      while !i + u <= e do
-        for j = 0 to u - 1 do
-          vals.(s) <- !i + j;
-          run_reductions rest
-        done;
-        i := !i + u
-      done;
-      while !i < e do
-        vals.(s) <- !i;
-        run_reductions rest;
-        incr i
-      done
-  in
-  let run_output_element () =
-    let _, odata, _ = out_ref in
-    if k.scalar_replaced then begin
-      let off = offset out_ref in
-      acc := odata.(off);
-      run_reductions reduction_loops;
-      odata.(off) <- !acc
-    end
-    else begin
-      acc := 0;
-      let off = offset out_ref in
-      let saved = odata.(off) in
-      run_reductions reduction_loops;
-      odata.(off) <- addp saved !acc
-    end
-  in
-  let rec run_parallel = function
-    | [] -> run_output_element ()
-    | (l : Codegen.Kernel.loop) :: rest ->
-      let s = slot l.index in
-      for i = 0 to l.extent - 1 do
-        vals.(s) <- i;
-        run_parallel rest
-      done
-  in
-  let bx_e, by_e = k.grid and tx_e, ty_e = k.block in
-  let tx_s = slot d.tx and bx_s = slot d.bx in
-  let ty_s = Option.map slot d.ty and by_s = Option.map slot d.by in
-  for by = 0 to by_e - 1 do
-    Option.iter (fun s -> vals.(s) <- by) by_s;
-    for bx = 0 to bx_e - 1 do
-      vals.(bx_s) <- bx;
-      refresh_tiles ();
-      for ty = 0 to ty_e - 1 do
-        Option.iter (fun s -> vals.(s) <- ty) ty_s;
-        for tx = 0 to tx_e - 1 do
-          vals.(tx_s) <- tx;
-          run_parallel parallel_loops
-        done
-      done
-    done
-  done
-
+(* Stage 5 - kernel: the lowered kernels, run by Codegen.Exec over F_p. *)
 let eval_kernels ~extents inputs (ir : Tcr.Ir.t) kernels =
-  let env = with_produced inputs extents (ir_produced ir) in
-  List.iter (eval_kernel env) kernels;
-  List.map (fun name -> (name, (find env name).data)) (ir_outputs ir)
+  let env = with_produced inputs extents (Codegen.Exec.produced ir) in
+  List.iter (Codegen.Exec.run_kernel_int ~add:addp ~mul:mulp env) kernels;
+  List.map (fun name -> (name, find env name)) (ir_outputs ir)
 
 (* ------------------------------------------------------------------ *)
 (* Verdict *)
@@ -561,8 +342,7 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
     let rng = Util.Rng.create seed in
     let stages = ref [] in
     let record round name outs =
-      if round = 0 then stages := (name, digest outs) :: !stages;
-      outs
+      if round = 0 then stages := (name, digest outs) :: !stages
     in
     let rec run round =
       if round >= rounds then
@@ -575,59 +355,43 @@ let validate ?(rounds = default_rounds) ?(seed = default_seed) ?mutate_kernel ~l
         }
       else begin
         let inputs = random_inputs rng extents inputs_spec in
-        let outcome =
-          (* evaluate stage by stage; the first disagreement (or abort)
-             names the earliest broken translation *)
-          let check stage parent child =
-            match first_mismatch parent child with
-            | None -> Ok child
+        (* evaluate stage by stage; the first disagreement (or abort) names
+           the earliest broken translation *)
+        let eval parent (stage, f) =
+          match f () with
+          | outs -> (
+            record round stage outs;
+            match Option.bind parent (fun parent -> first_mismatch parent outs) with
+            | None -> Ok (Some outs)
             | Some (name, i, pv, cv) ->
               Error
-                (Diag.error Diag.Semantic ~code:(stage_code stage) ~site
-                   "%s stage disagrees with its parent on %s[%d]: %d vs %d (mod %d, \
-                    round %d of %d)"
-                   stage name i pv cv prime (round + 1) rounds,
-                  stage )
-          in
-          let stage_eval stage f parent =
-            match f () with
-            | outs -> check stage parent (record round stage outs)
-            | exception Oob msg ->
-              Error
                 ( Diag.error Diag.Semantic ~code:(stage_code stage) ~site
-                    "%s stage: %s (round %d of %d)" stage msg (round + 1) rounds,
-                  stage )
-            | exception Abort msg ->
-              Error
-                ( Diag.error Diag.Semantic ~code:"BAR064" ~site
-                    "semantic evaluation aborted at the %s stage: %s" stage msg,
-                  stage )
-          in
-          match
-            match eval_dsl ~extents inputs statements with
-            | outs -> Ok (record round "dsl" outs)
-            | exception Abort msg ->
-              Error
-                ( Diag.error Diag.Semantic ~code:"BAR064" ~site
-                    "semantic evaluation aborted at the dsl stage: %s" msg,
-                  "dsl" )
-          with
-          | Error e -> Error e
-          | Ok dsl -> (
-            match stage_eval "variant" (fun () -> eval_variant ~extents inputs choices) dsl with
-            | Error e -> Error e
-            | Ok variant -> (
-              match stage_eval "tcr" (fun () -> eval_tcr ~extents inputs ir) variant with
-              | Error e -> Error e
-              | Ok tcr -> (
-                match
-                  stage_eval "recipe" (fun () -> eval_recipe ~extents inputs ir points) tcr
-                with
-                | Error e -> Error e
-                | Ok recipe ->
-                  stage_eval "kernel"
-                    (fun () -> eval_kernels ~extents inputs ir kernels)
-                    recipe)))
+                    "%s stage disagrees with its parent on %s[%d]: %d vs %d (mod %d, round \
+                     %d of %d)"
+                    stage name i pv cv prime (round + 1) rounds,
+                  stage ))
+          | exception Codegen.Exec.Out_of_bounds msg ->
+            Error
+              ( Diag.error Diag.Semantic ~code:(stage_code stage) ~site
+                  "%s stage: %s (round %d of %d)" stage msg (round + 1) rounds,
+                stage )
+          | exception (Abort msg | Invalid_argument msg) ->
+            Error
+              ( Diag.error Diag.Semantic ~code:"BAR064" ~site
+                  "semantic evaluation aborted at the %s stage: %s" stage msg,
+                stage )
+        in
+        let outcome =
+          List.fold_left
+            (fun acc stage -> Result.bind acc (fun parent -> eval parent stage))
+            (Ok None)
+            [
+              ("dsl", fun () -> eval_dsl ~extents inputs statements);
+              ("variant", fun () -> eval_variant ~extents inputs choices);
+              ("tcr", fun () -> eval_tcr ~extents inputs ir);
+              ("recipe", fun () -> eval_recipe ~extents inputs ir points);
+              ("kernel", fun () -> eval_kernels ~extents inputs ir kernels);
+            ]
         in
         match outcome with
         | Ok _ -> run (round + 1)

@@ -7,11 +7,11 @@
     (p = 2^31 - 1) and compared exactly (Schwartz-Zippel: distinct
     polynomials of degree d agree with probability at most d/p per
     round, so a false "equivalent" is astronomically unlikely and a false
-    "different" is impossible). The kernel stage interprets the kernel IR
-    faithfully - grid/block loops, unrolling with epilogue, scalar
-    replacement, shared-memory staging - with addresses formed from the
-    kernel's own extents table and bounds-checked, so stride corruption
-    surfaces instead of being normalized away.
+    "different" is impossible). The kernel stage runs the lowered kernels
+    through {!Codegen.Exec}, the one interpreter of the kernel IR, over
+    F_p: its addresses come from the kernel's own extents table and are
+    bounds-checked, so stride corruption surfaces instead of being
+    normalized away.
 
     Codes name the earliest stage that stopped agreeing with its parent:
     BAR060 variant vs dsl, BAR061 tcr vs variant, BAR062 recipe vs tcr,

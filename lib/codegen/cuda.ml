@@ -9,12 +9,7 @@ let buf_add = Buffer.add_string
    Index variables are tx/ty/bx/by or serial loop variables; [subst]
    rewrites a loop variable, used to print unrolled bodies as "(n + 2)". *)
 let offset_expr (k : Kernel.t) ?(subst = fun v -> v) (dims : string list) =
-  let extents = List.map (Kernel.extent k) dims in
-  let n = List.length extents in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
+  let strides = Kernel.strides k dims in
   let var_of idx =
     let d = k.decomp in
     if idx = d.tx then "tx"
@@ -53,18 +48,9 @@ let body_stmt (k : Kernel.t) acc_var subst =
    from lt (row-major), block-fixed dims taken from the block indices. *)
 let tile_load_offset (k : Kernel.t) (s : Kernel.staging) =
   let dims = List.assoc s.array k.arrays in
-  let extents = List.map (Kernel.extent k) dims in
-  let n = List.length extents in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
+  let strides = Kernel.strides k dims in
   let tile_exts = List.map (Kernel.extent k) s.tile_dims in
-  let m = List.length tile_exts in
-  let divs =
-    List.init m (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) tile_exts))
-  in
+  let divs = Kernel.strides k s.tile_dims in
   let coord idx =
     let rec pos j = function
       | [] -> invalid_arg "Cuda.tile_load_offset"

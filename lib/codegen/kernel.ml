@@ -49,6 +49,11 @@ let extent k i =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Kernel.extent: unknown index %s" i)
 
+(* Row-major strides of a reference to [dims] over the kernel's own
+   extents table: the last dim has stride 1. *)
+let strides k dims =
+  Array.to_list (Tensor.Shape.strides (Array.of_list (List.map (extent k) dims)))
+
 (* Indices handled by the hardware decomposition. *)
 let mapped_indices k =
   let d = k.decomp in
@@ -104,13 +109,6 @@ let staging_of k array = List.find_opt (fun s -> s.array = array) k.staging
 (* ------------------------------------------------------------------ *)
 (* Lowering *)
 
-let position order i =
-  let rec go pos = function
-    | [] -> max_int
-    | x :: rest -> if x = i then pos else go (pos + 1) rest
-  in
-  go 0 order
-
 (* Lower [op] of [ir] under [point]. Serial loops are ordered with the
    unmapped parallel loops outermost (each computes a distinct output
    element) and reduction loops innermost, both following the op's loop
@@ -150,7 +148,6 @@ let lower ?(scalar_replace = true) ~name (ir : Tcr.Ir.t) (op : Tcr.Ir.op)
       (fun acc (name, dims) -> if List.mem_assoc name acc then acc else acc @ [ (name, dims) ])
       [] refs
   in
-  ignore position;
   {
     name;
     op;

@@ -43,6 +43,10 @@ type t = {
 
 val extent : t -> string -> int
 
+(** Row-major strides of a reference to the given dims over the kernel's
+    own [extents] table (last dim stride 1). Raises like {!extent}. *)
+val strides : t -> string list -> int list
+
 (** Indices handled by the hardware decomposition. *)
 val mapped_indices : t -> string list
 

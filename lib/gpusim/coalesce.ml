@@ -20,12 +20,7 @@ type ref_analysis = {
 }
 
 let stride_of (k : Codegen.Kernel.t) dims index =
-  let extents = List.map (Codegen.Kernel.extent k) dims in
-  let n = List.length dims in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
+  let strides = Codegen.Kernel.strides k dims in
   let rec go ds ss =
     match (ds, ss) with
     | [], [] -> 0

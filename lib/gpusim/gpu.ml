@@ -44,11 +44,6 @@ let measure ?scalar_replace (arch : Arch.t) (ir : Tcr.Ir.t) (points : Tcr.Space.
     flops = List.fold_left (fun acc r -> acc + r.Perf.flops) 0 reports;
   }
 
-(* Functional execution on the simulated device, for validation: returns the
-   environment extended with temporaries and outputs. *)
-let execute (ir : Tcr.Ir.t) (points : Tcr.Space.point list) inputs =
-  Codegen.Exec.run_program ir points inputs
-
 (* Time of [reps] evaluations with device-resident data: transfers happen
    once, kernels run every repetition (the paper's measurement loop). *)
 let time_with_reps report ~reps =

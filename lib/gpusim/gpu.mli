@@ -20,10 +20,6 @@ val measure_kernel : Arch.t -> Codegen.Kernel.t -> Perf.kernel_report
 (** Whole program under per-statement points. Deterministic. *)
 val measure : ?scalar_replace:bool -> Arch.t -> Tcr.Ir.t -> Tcr.Space.point list -> report
 
-(** Functional execution (see {!Codegen.Exec.run_program}). *)
-val execute :
-  Tcr.Ir.t -> Tcr.Space.point list -> Codegen.Exec.env -> Codegen.Exec.env
-
 (** Time of [reps] evaluations with device-resident data: transfers once,
     kernels every repetition (the paper's measurement loop). *)
 val time_with_reps : report -> reps:int -> float

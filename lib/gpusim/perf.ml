@@ -94,19 +94,6 @@ let classify_ref (arch : Arch.t) (k : Codegen.Kernel.t) (occ : Occupancy.t)
   in
   { analysis = a; dram_bytes = dram; l2_bytes = l2; memory_class }
 
-(* Cross-check of the representative-warp coalescing model against the
-   exact grid average, per reference: (name, model, exact). The roofline
-   terms keep using the representative number - its outputs are pinned by
-   recorded baselines - while the verifier reports any divergence between
-   the two as BAR076. *)
-let coalescing_divergence (k : Codegen.Kernel.t) =
-  List.map
-    (fun (name, dims) ->
-      ( name,
-        Coalesce.transactions_per_warp k dims,
-        Coalesce.exact_transactions_per_warp k dims ))
-    ((k.op.out, k.op.out_indices) :: k.op.factors)
-
 let analyze_kernel (arch : Arch.t) (k : Codegen.Kernel.t) =
   let occ = Occupancy.analyze arch k in
   let factor_reports =

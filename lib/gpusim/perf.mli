@@ -45,10 +45,4 @@ val model_time : kernel_report -> float
 val latency_warps_compute : float
 val latency_warps_memory : float
 
-(** Representative-warp vs. exact grid-average coalescing per reference
-    (output first, then factors): [(name, model, exact)] transactions per
-    warp. The roofline keeps the representative number; the verifier
-    reports divergence as BAR076. *)
-val coalescing_divergence : Codegen.Kernel.t -> (string * float * float) list
-
 val analyze_kernel : Arch.t -> Codegen.Kernel.t -> kernel_report

@@ -23,13 +23,10 @@ let address (k : Codegen.Kernel.t) dims ~tx ~ty ~serial_vals =
       | Some v -> v
       | None -> invalid_arg (Printf.sprintf "Simtrace.address: no value for %s" idx)
   in
-  let extents = List.map (Codegen.Kernel.extent k) dims in
-  let n = List.length dims in
-  let strides =
-    List.init n (fun i ->
-        List.fold_left ( * ) 1 (List.filteri (fun j _ -> j > i) extents))
-  in
-  8 * List.fold_left2 (fun acc idx s -> acc + (value idx * s)) 0 dims strides
+  8
+  * List.fold_left2
+      (fun acc idx s -> acc + (value idx * s))
+      0 dims (Codegen.Kernel.strides k dims)
 
 (* Replay one block's accesses to [dims] through [cache]. The reference is
    loaded once per iteration of the serial loops it depends on (and all

@@ -28,8 +28,6 @@ val leaves : t -> int list
 (** A full binary tree over exactly one leaf per input tensor. *)
 val is_valid : Network.t -> t -> bool
 
-val num_nodes : t -> int
-
 (** Serialized order, e.g. ["((T0,T1),T2)"] - journal/CLI provenance. *)
 val to_string : Network.t -> t -> string
 

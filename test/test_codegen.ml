@@ -141,6 +141,24 @@ let test_exec_unroll_epilogue () =
         (outputs_match ir [ point ] inputs))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* An unroll factor below 1 (only a hand-edited kernel can carry one) runs
+   as 1, as the CUDA emitter prints it, instead of never advancing. *)
+let test_exec_unroll_below_one () =
+  let src = "dims: i=5 j=4 k=7\nC[i j] = Sum([k], A[i k] * B[k j])" in
+  let set = match Octopi.Variants.of_string src with [ s ] -> s | _ -> assert false in
+  let ir = ir_of (List.hd set.variants) set in
+  let inputs = random_inputs ir in
+  let k = List.hd (Codegen.Kernel.lower_program ir (first_points ir)) in
+  let k =
+    { k with thread_loops = List.map (fun l -> { l with Codegen.Kernel.unroll = 0 }) k.thread_loops }
+  in
+  let env = Codegen.Exec.allocate_produced ir inputs in
+  Codegen.Exec.run_kernel k env;
+  Alcotest.(check bool) "unroll 0 runs as 1" true
+    (Tensor.Dense.approx_equal ~tol:1e-9
+       (List.assoc "C" (Codegen.Exec.run_reference ir inputs))
+       (List.assoc "C" env))
+
 let test_exec_accumulating_ops () =
   (* two statements accumulating into the same output (lg3t pattern) *)
   let b = Benchsuite.Suite.lg3t ~p:4 ~elems:3 () in
@@ -158,6 +176,43 @@ let test_exec_rejects_unbound () =
        ignore (Codegen.Exec.run_program ir (first_points ir) []);
        false
      with Invalid_argument _ -> true)
+
+(* Shared-memory staging on the float path: staging every factor of every
+   kernel - unguarded, or guarded to one loader thread - computes the
+   oracle's tensor at sampled points; a guard admitting no loader leaves
+   every tile zero, as the emitted CUDA would, so the outputs stay zero. *)
+let test_exec_staged_factors () =
+  let set = variant_set () in
+  let ir = ir_of (List.nth set.variants 14) set in
+  let ps = Tcr.Space.of_ir ir in
+  let inputs = random_inputs ir in
+  let want = Codegen.Exec.run_reference ir inputs in
+  let run ?guard points =
+    let env = Codegen.Exec.allocate_produced ir inputs in
+    List.iter
+      (fun (k : Codegen.Kernel.t) ->
+        let staged =
+          List.fold_left
+            (fun k (name, _) -> Codegen.Kernel.stage_factor ?guard k name)
+            k k.op.factors
+        in
+        Alcotest.(check int) "every factor staged" (List.length k.op.factors)
+          (List.length staged.staging);
+        Codegen.Exec.run_kernel staged env)
+      (Codegen.Kernel.lower_program ir points);
+    List.assoc "V" env
+  in
+  let rng = Util.Rng.create 23 in
+  for _ = 1 to 4 do
+    let points = List.map (Tcr.Space.sample rng) ps.op_spaces in
+    List.iter
+      (fun guard ->
+        Alcotest.(check bool) "staged kernels match the oracle" true
+          (Tensor.Dense.approx_equal ~tol:1e-9 (List.assoc "V" want) (run ?guard points)))
+      [ None; Some 1 ];
+    Alcotest.(check bool) "no loader: tiles read zero" true
+      (Array.for_all (fun x -> x = 0.0) (Tensor.Dense.data (run ~guard:0 points)))
+  done
 
 (* one qcheck property: arbitrary sampled decomposition/unroll points on a
    3-factor contraction remain correct *)
@@ -267,8 +322,10 @@ let suite =
     ("exec all variants", `Slow, test_exec_all_variants_default_points);
     ("exec random points", `Quick, test_exec_random_points);
     ("exec unroll epilogue", `Quick, test_exec_unroll_epilogue);
+    ("exec unroll below one", `Quick, test_exec_unroll_below_one);
     ("exec accumulating ops", `Quick, test_exec_accumulating_ops);
     ("exec rejects unbound tensor", `Quick, test_exec_rejects_unbound);
+    ("exec staged factors", `Quick, test_exec_staged_factors);
     QCheck_alcotest.to_alcotest qcheck_exec;
     ("cuda structure", `Quick, test_cuda_structure);
     ("cuda transfers once", `Quick, test_cuda_transfers_once);

@@ -260,7 +260,7 @@ let test_gpu_execute_correct () =
         else None)
       ir.vars
   in
-  let env = Gpusim.Gpu.execute ir points inputs in
+  let env = Codegen.Exec.run_program ir points inputs in
   let want = Codegen.Exec.run_reference ir inputs in
   Alcotest.(check bool) "device execution correct" true
     (Tensor.Dense.approx_equal (List.assoc "C" want) (List.assoc "C" env))
